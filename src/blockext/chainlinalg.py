@@ -1,16 +1,45 @@
 """Exact linear algebra and homology over the truncated chain ring.
 
 Homology of a complex of free O-modules, computed from its reduction mod
-p^N.  The workhorse is the Smith form over the discrete valuation ring O,
-found by global minimal-valuation pivoting: the smallest valuation entry of
-the matrix is the first invariant factor, and clearing its row and column
-is exact (every elimination is a dominated division, so q*a = b holds on
-the nose in the chain ring).  The computation therefore agrees with the
-exact one over O until an entry that is O-nonzero truncates to zero; such
-divergences only inject entries of valuation >= cap - V, where V bounds
-the honest invariant factors, and the threshold (default cap/2) keeps them
-classified as zero.  homology_class re-verifies by recomputing at
-precision N+2 and comparing classes.
+p^N.  Matrices are dense element arrays of shape (rows, cols, dim) (see
+the chainring module), and the workhorse is the Smith form over the
+discrete valuation ring O found by global minimal-valuation pivoting.
+
+Why that pivoting is exact.  Let a = M[i0, j0] have the least valuation
+v in the matrix.  Every entry is a multiple of pi^v, so pi^v generates
+the ideal of the entries and is the first invariant factor.  Take
+c = p^(v // e) pi^(v % e), an element of valuation v.  Every entry b of
+column j0 has val(b) >= v, so b = c b' with b' computed exactly
+(ChainRing.div_pi_power), and a' = a / c is a unit.
+With q = b' a'^-1 we get q a = b' c = b on the nose in the chain ring,
+so subtracting q times row i0 clears column j0 exactly, and no division
+ever rounds.  Column operations then clear row i0 without touching the
+other rows, so the row retires with invariant factor pi^v.  The
+computation therefore agrees with the exact one over O until an entry
+that is O-nonzero truncates to zero; such divergences only inject
+entries of valuation >= cap - V, where V bounds the honest invariant
+factors, and the threshold (default cap/2) keeps them classified as
+zero.  homology_class re-verifies by recomputing at precision N+2 and
+comparing classes.  A column entry left nonzero after its elimination
+contradicts q a = b and is raised as a bug, never ignored.
+
+Each pivot costs array work only on the rows with a nonzero entry in the
+pivot column and the columns with one in the pivot row: the quotients q
+come from one exact division and one product with the unit inverse, the
+update from one product through ChainRing.mult_tensor, and valuations
+are recomputed only for the entries it wrote (from a v_p table).  The
+rows go in blocks of at most BLOCK elements, so temporaries stay small.
+
+Overflow.  An element product is (u v)[k] = sum_{i,j} u_i v_j T[k,i,j];
+in one step its partial sums reach dim^2 (pN - 1)^3.  It is taken in two
+contractions of length dim instead, first v against T, reduced mod pN,
+then u against that, so a partial sum stays below dim (pN - 1)^2.  Rings
+with dim (pN - 1)^2 >= 2^63 keep the same arrays in Python integers
+(dtype=object).  A matrix product contracts over k*dim terms and is cut
+into pieces of the same size (ChainRing.matmul).
+
+free_basis is the unit-pivot Gauss-Jordan behind fixed-point bases of
+the bar complex and the V_chi splitting in modrep.
 
 For the cohomology at position i, with d_in = d^{i-1} and d_out = d^i:
 
@@ -29,16 +58,29 @@ For the cohomology at position i, with d_in = d^{i-1} and d_out = d^i:
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 
 import numpy as np
 
-from .chainring import ChainRing
+from .chainring import BLOCK, ChainRing
 from .errors import BlockExtError, PrecisionUnstable
 from .omodule import OModuleClass
 
-_BATCH_MIN = 12  # below this, plain loops beat numpy dispatch
+
+def _dense(ring: ChainRing, entries: dict, nrows: int, ncols: int):
+    """The element array of a sparse {(row, col): element} dict."""
+    A = np.zeros((nrows, ncols, ring.dim), dtype=ring.dtype)
+    if entries:
+        r, c = np.array(list(entries), dtype=np.intp).T
+        A[r, c] = np.array(list(entries.values()), dtype=ring.dtype)
+    return A
+
+
+def _sparse(A) -> dict:
+    """The sparse dict of an element array."""
+    nz = np.argwhere((A != 0).any(axis=-1))
+    return {(r, c): tuple(v) for (r, c), v in
+            zip(nz.tolist(), A[nz[:, 0], nz[:, 1]].tolist())}
 
 
 class ChainMatrix:
@@ -62,130 +104,104 @@ class ChainMatrix:
             M.rows[i][i] = ring.one
         return M
 
+    def array(self):
+        return np.array(self.rows, dtype=self.ring.dtype).reshape(
+            self.nrows, self.ncols, self.ring.dim)
+
     def mul(self, other: "ChainMatrix") -> "ChainMatrix":
         assert self.ncols == other.nrows
-        R = self.ring
-        out = ChainMatrix.zeros(R, self.nrows, other.ncols)
-        for i in range(self.nrows):
-            for k in range(self.ncols):
-                a = self.rows[i][k]
-                if a == R.zero:
-                    continue
-                orow = other.rows[k]
-                for j in range(other.ncols):
-                    if orow[j] != R.zero:
-                        out.rows[i][j] = R.add(out.rows[i][j], R.mul(a, orow[j]))
-        return out
+        out = self.ring.matmul(self.array(), other.array()).tolist()
+        return ChainMatrix(self.ring, [[tuple(v) for v in row] for row in out])
 
     def is_zero(self) -> bool:
         z = self.ring.zero
         return all(v == z for row in self.rows for v in row)
 
     def to_entries(self) -> dict:
-        z = self.ring.zero
-        return {(i, j): v for i, row in enumerate(self.rows)
-                for j, v in enumerate(row) if v != z}
+        return _sparse(self.array())
 
 
-def _np_safe(ring: ChainRing) -> bool:
-    # int64 headroom for sum of dim^2 products of three coefficients
-    return ring.pN <= (1 << 15) and ring.dim <= 16
+def free_basis(ring: ChainRing, vectors):
+    """Greedy free basis of the span of an (n, width, dim) element array.
 
-
-def _sparse_axpy(ring, dst: dict, src_items, q, arr):
-    """dst += q * src for sparse vectors; returns (changed keys, cached array).
-
-    src_items is a stable list of (key, element); arr caches its numpy form
-    across repeated calls with the same source (the pivot row).
+    Unit-pivot Gauss-Jordan over the vectors in order keeps each one whose
+    reduction has a unit entry, pivoting on the first.  Returns the kept
+    indices and rows L (k, width, dim) with L . v the coordinates of v in
+    the kept vectors, for every v in their span.
     """
-    changed = []
-    zero = ring.zero
-    if len(src_items) >= _BATCH_MIN and _np_safe(ring):
-        if arr is None:
-            arr = np.array([v for _, v in src_items], dtype=np.int64)
-        qv = np.asarray(q, dtype=np.int64)
-        delta = np.einsum("ld,e,kde->lk", arr, qv, ring.mult_tensor) % ring.pN
-        for idx, (key, _) in enumerate(src_items):
-            old = dst.get(key, zero)
-            new = tuple((a + int(b)) % ring.pN for a, b in zip(old, delta[idx]))
-            if new == zero:
-                if key in dst:
-                    del dst[key]
-                    changed.append((key, None))
-            else:
-                dst[key] = new
-                changed.append((key, new))
-        return changed, arr
-    for key, v in src_items:
-        old = dst.get(key, zero)
-        new = ring.add(old, ring.mul(q, v))
-        if new == zero:
-            if key in dst:
-                del dst[key]
-                changed.append((key, None))
-        else:
-            dst[key] = new
-            changed.append((key, new))
-    return changed, arr
+    V = np.asarray(vectors, dtype=ring.dtype)
+    pN, d = ring.pN, ring.dim
+    R = np.zeros((0,) + V.shape[1:], dtype=ring.dtype)  # unit 1 at own pivot
+    T = np.zeros((0, 0, d), dtype=ring.dtype)  # R = T . V[kept]
+    kept, pivots = [], []
+    for idx, v in enumerate(V):
+        f = v[pivots]
+        r = (v - ring.matmul(f[None], R)[0]) % pN
+        units = np.flatnonzero(ring.valuations(r) == 0)
+        if not units.size:
+            continue
+        inv = np.array(ring.inv(tuple(int(c) for c in r[units[0]])),
+                       dtype=ring.dtype)
+        r = ring.mul_arrays(r, inv)
+        t = np.concatenate([-ring.mul_arrays(ring.matmul(f[None], T)[0], inv),
+                            inv[None]]) % pN
+        g = R[:, units[0], None]
+        R = np.concatenate([(R - ring.mul_arrays(g, r)) % pN, r[None]])
+        T = np.pad(T, ((0, 0), (0, 1), (0, 0)))
+        T = np.concatenate([(T - ring.mul_arrays(g, t)) % pN, t[None]])
+        kept.append(idx)
+        pivots.append(int(units[0]))
+    L = np.zeros((len(kept),) + V.shape[1:], dtype=ring.dtype)
+    L[:, pivots] = T.transpose(1, 0, 2)
+    eye = np.zeros((len(kept), len(kept), d), dtype=ring.dtype)
+    eye[range(len(kept)), range(len(kept)), 0] = 1
+    if not np.array_equal(ring.matmul(L, V[kept].transpose(1, 0, 2)), eye):
+        raise BlockExtError("left inverse of the unit-pivot basis failed")
+    return kept, L
 
 
-def _smith_exponents(ring, rows: list[dict], threshold) -> list[int]:
+def _smith_exponents(ring: ChainRing, A, threshold) -> list[int]:
     """Finite Smith exponents (pi-levels below threshold), ascending.
 
-    rows is a list of sparse {col: element} dicts, consumed destructively.
-    Pivoting is by global minimal valuation, tracked in a lazily revalidated
-    heap; once no entry falls below the threshold the remaining block is
+    A is an element array of shape (rows, cols, dim), consumed.  Pivoting
+    is by global minimal valuation, first row then first column on ties;
+    once no entry falls below the threshold the remaining block is
     truncation noise standing in for zero and the form is complete.
     """
-    heap = []
-    rows_of: dict[int, set] = {}
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            rows_of.setdefault(j, set()).add(i)
-            heap.append((ring.val(v), i, j))
-    heapq.heapify(heap)
-    cap = ring.cap
-    active = set(range(len(rows)))
+    cap, pN = ring.cap, ring.pN
+    stop = min(threshold, cap)
+    V = np.concatenate([ring.valuations(part) for part in
+                        np.array_split(A, max(1, -(-A.size // BLOCK)))])
     exps = []
-    while heap:
-        val, i0, j0 = heapq.heappop(heap)
-        if val >= threshold:
+    while V.size:
+        i0, j0 = divmod(int(V.argmin()), V.shape[1])
+        v0 = int(V[i0, j0])
+        if v0 >= stop:
             break
-        if i0 not in active:
-            continue
-        piv = rows[i0].get(j0)
-        if piv is None:
-            continue
-        cur = ring.val(piv)
-        if cur != val:
-            if cur < cap:
-                heapq.heappush(heap, (cur, i0, j0))
-            continue
-        # pivot found: clear column j0 from the other active rows
-        piv_items = list(rows[i0].items())
-        arr = None
-        for i in sorted(rows_of.get(j0, ())):
-            if i == i0 or i not in active:
-                continue
-            b = rows[i].get(j0)
-            if b is None:
-                continue
-            q = ring.neg(ring.div_dominated(b, piv))
-            changed, arr = _sparse_axpy(ring, rows[i], piv_items, q, arr)
-            for key, new in changed:
-                if new is None:
-                    s = rows_of.get(key)
-                    if s is not None:
-                        s.discard(i)
-                else:
-                    rows_of.setdefault(key, set()).add(i)
-                    heapq.heappush(heap, (ring.val(new), i, key))
-            if rows[i].pop(j0, None) is not None:
-                raise BlockExtError("dominated elimination left a residue")
-        # with the column cleared, column operations kill the rest of row
-        # i0 without touching other rows, so the row just retires
-        exps.append(val)
-        active.discard(i0)
+        rows = np.flatnonzero(V[:, j0] < cap)
+        rows = rows[rows != i0]
+        V[i0] = cap  # the pivot row retires
+        if rows.size:
+            unit = ring.div_pi_power(A[i0, j0], v0)
+            inv = np.array(ring.inv(tuple(int(c) for c in unit)),
+                           dtype=ring.dtype)
+            cols = np.flatnonzero((A[i0] != 0).any(axis=-1))
+            prow = A[i0, cols]
+            for part in np.array_split(rows,
+                                       -(-rows.size * prow.size // BLOCK)):
+                q = ring.mul_arrays(ring.div_pi_power(A[part, j0], v0), inv)
+                block = np.ix_(part, cols)
+                sub = A[block]
+                sub -= ring.mul_arrays(q[:, None], prow)
+                sub %= pN
+                A[block] = sub
+                V[block] = ring.valuations(sub)
+            if (V[rows, j0] < cap).any():
+                raise BlockExtError(
+                    f"dominated elimination left a residue: ring "
+                    f"{ring.key()}, {A.shape[0]}x{A.shape[1]} matrix, pivot "
+                    f"({i0}, {j0}) of valuation {v0}")
+        exps.append(v0)
     return exps
 
 
@@ -193,9 +209,7 @@ def snf_chain_ring(mat: ChainMatrix, threshold: int | None = None) -> list[int]:
     """All min(m, n) diagonal Smith exponents; cap stands for zero."""
     ring = mat.ring
     thr = (ring.cap + 1) // 2 if threshold is None else threshold
-    rows = [{j: v for j, v in enumerate(row) if v != ring.zero}
-            for row in mat.rows]
-    exps = _smith_exponents(ring, rows, thr)
+    exps = _smith_exponents(ring, mat.array(), thr)
     exps.extend([ring.cap] * (min(mat.nrows, mat.ncols) - len(exps)))
     return exps
 
@@ -203,45 +217,57 @@ def snf_chain_ring(mat: ChainMatrix, threshold: int | None = None) -> list[int]:
 class ChainComplex:
     """A bounded complex of free modules over a ChainRing.
 
-    ranks[i] is the rank at position i; diffs[i] maps position i to i+1 and
-    is stored sparsely as {(row, col): element} with row < ranks[i+1] and
-    col < ranks[i].
+    ranks[i] is the rank at position i; diffs[i] maps position i to i+1.
+    Differentials come and go as sparse {(row, col): element} dicts with
+    row < ranks[i+1] and col < ranks[i]; a builder may hand in element
+    arrays of shape (ranks[i+1], ranks[i], dim) instead, stored in the
+    narrowest dtype that holds pN - 1, which become dicts only when .diffs
+    is read.  From then on the dicts are the record, so edits to them are
+    seen by verify and homology.
     """
 
-    def __init__(self, ring: ChainRing, ranks: list[int], diffs: list[dict]):
+    def __init__(self, ring: ChainRing, ranks: list[int], diffs: list):
         assert len(diffs) == len(ranks) - 1
         self.ring = ring
         self.ranks = list(ranks)
-        self.diffs = [dict(d) for d in diffs]
-        for i, d in enumerate(self.diffs):
-            for (r, c) in d:
-                assert 0 <= r < ranks[i + 1] and 0 <= c < ranks[i]
+        self._d = []
+        for i, d in enumerate(diffs):
+            if isinstance(d, np.ndarray):
+                assert d.shape == (ranks[i + 1], ranks[i], ring.dim)
+                d = d.astype(np.min_scalar_type(ring.pN - 1))
+            else:
+                d = dict(d)
+                for (r, c) in d:
+                    assert 0 <= r < ranks[i + 1] and 0 <= c < ranks[i]
+            self._d.append(d)
+
+    @property
+    def diffs(self) -> list[dict]:
+        self._d = [_sparse(d) if isinstance(d, np.ndarray) else d
+                   for d in self._d]
+        return self._d
+
+    def matrix(self, i: int):
+        """diffs[i] as an element array, possibly narrower than ring.dtype;
+        read-only."""
+        d = self._d[i]
+        if isinstance(d, np.ndarray):
+            return d
+        return _dense(self.ring, d, self.ranks[i + 1], self.ranks[i])
 
     def verify(self):
         """Check d o d = 0; raises on violation."""
-        R = self.ring
-        for i in range(len(self.diffs) - 1):
-            lo, hi = self.diffs[i], self.diffs[i + 1]
-            by_col: dict[int, list] = {}
-            for (r2, c2), v2 in hi.items():
-                by_col.setdefault(c2, []).append((r2, v2))
-            acc: dict[tuple, tuple] = {}
-            for (r, c), v in lo.items():
-                for r2, v2 in by_col.get(r, ()):
-                    key = (r2, c)
-                    acc[key] = R.add(acc.get(key, R.zero), R.mul(v2, v))
-            for key, v in acc.items():
-                if v != R.zero:
+        for i in range(len(self._d) - 1):
+            lo, hi = self.matrix(i), self.matrix(i + 1)
+            step = max(1, BLOCK // max(1, hi.shape[1] * hi.shape[2]))
+            for at in range(0, len(hi), step):
+                dd = self.ring.matmul(hi[at:at + step], lo)
+                bad = np.argwhere((dd != 0).any(axis=-1))
+                if len(bad):
                     raise BlockExtError(
-                        f"d o d != 0 at positions {i},{i + 1}, entry {key}")
+                        f"d o d != 0 at positions {i},{i + 1}, "
+                        f"entry {(at + int(bad[0, 0]), int(bad[0, 1]))}")
         return True
-
-
-def _diff_smith(cx: ChainComplex, i: int, thr) -> list[int]:
-    rows: list[dict] = [{} for _ in range(cx.ranks[i + 1])]
-    for (r, c), v in cx.diffs[i].items():
-        rows[r][c] = v
-    return _smith_exponents(cx.ring, rows, thr)
 
 
 def homology_of_complex(cx: ChainComplex, i: int,
@@ -255,14 +281,15 @@ def homology_of_complex(cx: ChainComplex, i: int,
     top position i = len(diffs) becomes available.
     """
     ring = cx.ring
-    top = len(cx.diffs)
+    top = len(cx.ranks) - 1
     if not 0 <= i <= top:
         raise ValueError(f"position {i} outside complex")
     thr = (ring.cap + 1) // 2 if threshold is None else threshold
     if i == 0:
         rank_in, torsion = 0, []
     else:
-        in_exps = _diff_smith(cx, i - 1, thr)
+        in_exps = _smith_exponents(ring, cx.matrix(i - 1).astype(ring.dtype),
+                                   thr)
         rank_in = len(in_exps)
         torsion = sorted((a for a in in_exps if a > 0), reverse=True)
     if acyclic and i >= 1:
@@ -271,12 +298,15 @@ def homology_of_complex(cx: ChainComplex, i: int,
         if i == top:
             rank_out = 0
         else:
-            rank_out = len(_diff_smith(cx, i, thr))
+            rank_out = len(_smith_exponents(
+                ring, cx.matrix(i).astype(ring.dtype), thr))
         free = cx.ranks[i] - rank_out - rank_in
         if free < 0:
             raise PrecisionUnstable(
-                "negative free rank from truncated Smith forms; "
-                "increase the working precision")
+                f"negative free rank from truncated Smith forms at position "
+                f"{i} over ring {ring.key()}: rank {cx.ranks[i]}, "
+                f"{rank_in} pivots into it, {rank_out} out of it (ranks "
+                f"{cx.ranks}); increase the working precision")
     return free, torsion
 
 
@@ -294,6 +324,7 @@ def homology_class(builder, i: int, *, threshold: int | None = None,
     cls = OModuleClass(ring.p, free,
                        tuple(Fraction(t, ring.e) for t in tors))
     if reverify:
+        del cx  # one complex alive at a time
         cx2 = builder(2)
         if cx2.ring.N != ring.N + 2:
             raise BlockExtError("reverify builder ignored the extra precision")

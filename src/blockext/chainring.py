@@ -33,6 +33,9 @@ import sympy
 from .cyclotomic import CycloNumber, cyclotomic_coeffs
 from .errors import BlockExtError
 
+_I64 = (1 << 63) - 1  # the largest int64
+BLOCK = 1 << 15  # elements per temporary in the batched linear algebra
+
 
 # ---------------------------------------------------------------------------
 # integer polynomial helpers, coefficient lists with constant term first
@@ -156,6 +159,10 @@ class ChainRing:
         self.e = p ** (a - 1) * (p - 1) if a >= 1 else 1
         self.cap = N * self.e  # pi^cap = 0
         self.dim = self.f * self.e
+        # element arrays: int64 while a length-dim sum of products of two
+        # reduced coefficients fits, Python integers beyond (see below)
+        self.dtype = (np.int64 if self.dim * (self.pN - 1) ** 2 <= _I64
+                      else object)
 
         h0 = _smallest_factor_modp(mprime, p)
         assert len(h0) == self.f + 1
@@ -194,6 +201,7 @@ class ChainRing:
         self._inv_cache: dict[tuple, tuple] = {}
         self._embed_cache: dict[int, tuple] = {}
         self._mult_tensor = None
+        self._vp_table = None
 
     # -- construction helpers -----------------------------------------
 
@@ -450,6 +458,13 @@ class ChainRing:
         self._embed_cache[m] = out
         return out
 
+    def root_powers(self, m: int) -> np.ndarray:
+        """zeta_m^k for k < m, as an element array."""
+        out = [self.one]
+        for _ in range(m - 1):
+            out.append(self.mul(out[-1], self.zeta_elt(m)))
+        return np.array(out, dtype=self.dtype)
+
     def embed_cyclo(self, value: CycloNumber) -> tuple:
         """Ring image of a cyclotomic number with p'-part denominators."""
         den = 1
@@ -484,25 +499,90 @@ class ChainRing:
         e = self.e
         return tuple(u[i * e] % self.p for i in range(self.f))
 
-    # -- numpy structure tensor for bulk multiplication ----------------
+    # -- element arrays ------------------------------------------------
+    #
+    # Arrays of shape (..., dim) hold reduced coefficients.  Products are
+    # contractions of length dim, reduced in between, in self.dtype; the
+    # overflow bound is derived in the chainlinalg docstring.
 
     @property
     def mult_tensor(self) -> np.ndarray:
         """T with (u*v)[k] = sum_{i,j} u[i] v[j] T[k,i,j] (mod p^N)."""
         if self._mult_tensor is None:
-            d = self.dim
-            T = np.zeros((d, d, d), dtype=np.int64)
-            monos = []
-            for i in range(self.f):
-                for j in range(self.e):
-                    monos.append(self.monomial(i, j))
-            for i in range(d):
-                for j in range(d):
-                    prod = self.mul(monos[i], monos[j])
-                    for k in range(d):
-                        T[k, i, j] = prod[k]
-            self._mult_tensor = T
+            monos = [self.monomial(i, j)
+                     for i in range(self.f) for j in range(self.e)]
+            T = np.array([[self.mul(a, b) for b in monos] for a in monos],
+                         dtype=self.dtype).reshape(self.dim, self.dim, -1)
+            self._mult_tensor = np.ascontiguousarray(T.transpose(2, 0, 1))
         return self._mult_tensor
+
+    def mul_table(self, V) -> np.ndarray:
+        """W[..., i, k] = (x^i z^j * v)[k] for basis index i: v as an operator."""
+        d = self.dim
+        W = V @ self.mult_tensor.transpose(2, 1, 0).reshape(d, d * d)
+        W %= self.pN
+        return W.reshape(V.shape + (d,))
+
+    def mul_arrays(self, U, V) -> np.ndarray:
+        """Elementwise products of two broadcast element arrays; V is the
+        one expanded, so pass the smaller array there."""
+        out = (U[..., None, :] @ self.mul_table(V))[..., 0, :]
+        out %= self.pN
+        return out
+
+    def matmul(self, A, B) -> np.ndarray:
+        """Ring matrix product of (..., n, k, dim) and (..., k, m, dim)."""
+        k, m, d = B.shape[-3:]
+        Bm = np.swapaxes(self.mul_table(B), -3, -2).reshape(
+            B.shape[:-3] + (k * d, m * d))
+        A2 = A.reshape(A.shape[:-2] + (k * d,))
+        out = np.zeros(np.broadcast_shapes(A.shape[:-3], B.shape[:-3])
+                       + (A.shape[-3], m * d), dtype=self.dtype)
+        step = d * (k if self.dtype is object
+                    else _I64 // (d * (self.pN - 1) ** 2))
+        for s in range(0, k * d, step):
+            out += (A2[..., s:s + step] @ Bm[..., s:s + step, :]) % self.pN
+            out %= self.pN
+        return out.reshape(out.shape[:-1] + (m, d))
+
+    def valuations(self, A) -> np.ndarray:
+        """val() of every element of an element array, as int64."""
+        p, N, e = self.p, self.N, self.e
+        if self._vp_table is None:
+            K = N  # a table on [0, p^K) with K <= N, at most 2^16 entries
+            while K > 1 and p ** K > 1 << 16:
+                K -= 1
+            tab = np.zeros(p ** K, dtype=np.int16)
+            for k in range(1, K + 1):
+                tab[::p ** k] += 1
+            self._vp_table = tab
+        tab = self._vp_table
+        K, width = int(tab[0]), len(tab)
+        vp = tab[(A if width == self.pN else A % width).astype(np.intp,
+                                                              copy=False)]
+        for depth in range(K, N, K):  # coefficients with K zero low digits
+            A = A // width
+            deep = vp == depth
+            vp[deep] += tab[(A[deep] % width).astype(np.intp)]
+        vp = vp.reshape(vp.shape[:-1] + (self.f, e)).min(axis=-2)
+        out = np.full(vp.shape[:-1], self.cap, dtype=np.int64)
+        for j in range(e):  # v_pi = min_j (j + e v_p(s_j)), zero at cap
+            np.minimum(out, vp[..., j].astype(np.int64) * e + j, out=out)
+        return out
+
+    def div_pi_power(self, A, v: int) -> np.ndarray:
+        """Exact quotients by c = p^(v // e) pi^(v % e), an element of
+        valuation v: c * out = A for every element, all of val >= v."""
+        p, e, pN = self.p, self.e, self.pN
+        out = A // p ** (v // e)  # val >= (v // e) e forces p^(v // e) | coeffs
+        if v % e:
+            X = out.reshape(out.shape[:-1] + (self.f, e))
+            psi = np.array(self.psi[1:e], dtype=self.dtype)
+            for _ in range(v % e):  # divide_by_pi on every element at once
+                qe = (-(X[..., :1] // p)) % pN
+                X = np.concatenate([(X[..., 1:] + qe * psi) % pN, qe], axis=-1)
+            out = X.reshape(A.shape)
+        return out
 
 
 @lru_cache(maxsize=None)

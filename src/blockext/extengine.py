@@ -22,15 +22,18 @@ oracle on the D1-element list) and an abelian D2-side profile.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from .chainlinalg import ChainComplex, homology_class, homology_of_complex
-from .chainring import ChainRing, chain_ring
+import numpy as np
+
+from .chainlinalg import (ChainComplex, free_basis, homology_class,
+                          homology_of_complex)
+from .chainring import BLOCK, ChainRing, chain_ring
 from .chars import BlockCharacter, brauer_chars
-from .errors import (BlockExtError, CrossCheckMismatch, SizeGuardExceeded)
+from .errors import (BlockExtError, CrossCheckMismatch, PrecisionUnstable,
+                     SizeGuardExceeded)
 from .groups import AbelianPGroup, BlockContext, LinearChar, validate_block_spec
-from .modrep import ModuleRep, _vchi_matrices, build_module_rep
+from .modrep import ModuleRep, _vchi_matrices, build_module_rep, kron_array
 from .omodule import OModuleClass, kunneth_assemble, val_one_minus_zeta
 
 DEFAULT_SIZE_GUARD = 250000
@@ -51,197 +54,117 @@ def block_ring(ctx: BlockContext, precision: int | None = None) -> ChainRing:
     return chain_ring(G.D.p, precision, a, G.E.exponent)
 
 
-# -- small dense linear algebra over the chain ring -----------------------
-
-def _mat_vec(ring, M, v):
-    out = []
-    for row in M:
-        acc = ring.zero
-        for a, b in zip(row, v):
-            if a != ring.zero and b != ring.zero:
-                acc = ring.add(acc, ring.mul(a, b))
-        out.append(acc)
-    return out
-
-
-def _dot(ring, u, v):
-    acc = ring.zero
-    for a, b in zip(u, v):
-        if a != ring.zero and b != ring.zero:
-            acc = ring.add(acc, ring.mul(a, b))
-    return acc
-
-
-def _basis_and_left_inverse(ring, vectors):
-    """Unit-pivot echelon basis of the span plus rows L with L.B = I."""
-    rc = len(vectors[0]) if vectors else 0
-    reduced, trans, pivots, chosen = [], [], [], []
-    for vec in vectors:
-        v = list(vec)
-        c = [ring.zero] * len(chosen) + [ring.one]
-        for r, t, p in zip(reduced, trans, pivots):
-            f = v[p]
-            if f != ring.zero:
-                v = [ring.sub(a, ring.mul(f, x)) for a, x in zip(v, r)]
-                c = [ring.sub(a, ring.mul(f, x))
-                     for a, x in zip(c, t + [ring.zero])]
-        piv = next((j for j, a in enumerate(v)
-                    if a != ring.zero and ring.val(a) == 0), None)
-        if piv is None:
-            continue
-        inv = ring.inv(v[piv])
-        v = [ring.mul(inv, a) for a in v]
-        c = [ring.mul(inv, a) for a in c]
-        for k in range(len(reduced)):
-            f = reduced[k][piv]
-            if f != ring.zero:
-                reduced[k] = [ring.sub(a, ring.mul(f, x))
-                              for a, x in zip(reduced[k], v)]
-                tk = trans[k] + [ring.zero] * (len(c) - len(trans[k]))
-                trans[k] = [ring.sub(a, ring.mul(f, x)) for a, x in zip(tk, c)]
-        reduced.append(v)
-        trans.append(c)
-        pivots.append(piv)
-        chosen.append(list(vec))
-    k = len(chosen)
-    trans = [t + [ring.zero] * (k - len(t)) for t in trans]
-    # v in span has r-coordinates v[p_i]; original coordinates go through
-    # trans, so L[j] picks pivot entries weighted by trans[i][j]
-    L = []
-    for j in range(k):
-        row = [ring.zero] * rc
-        for i, p in enumerate(pivots):
-            row[p] = trans[i][j]
-        L.append(row)
-    for j, b in enumerate(chosen):
-        coords = [_dot(ring, L[l], b) for l in range(k)]
-        want = [ring.one if l == j else ring.zero for l in range(k)]
-        if coords != want:
-            raise BlockExtError("left inverse of the fixed basis failed")
-    return chosen, L
-
-
 # -- the F-fixed bar complex ----------------------------------------------
 
 def _fixed_bar_complex(ring, G, elems, M1: ModuleRep, M2: ModuleRep,
                        top: int) -> ChainComplex:
     """F-fixed normalized bar complex of the element list with
-    coefficients in M1* (x) M2, through degree ``top``."""
-    D = G.D
-    C = M1.dual().tensor(M2)
-    F = C.F
-    rc = C.rank
-    nd = len(elems)
+    coefficients in M1* (x) M2, through degree ``top``.
+
+    An m-tuple of element indices is coded in base nd, first index most
+    significant (the itertools.product order), so the faces of all orbit
+    representatives are index gathers.  Face k of representative sigma
+    contributes the block L_sigma . diag(lambda(g0)) . E_f . B_o, with
+    B_o, L_sigma the identity on orbits without a stabilizer; the blocks
+    of one face are batched products, BLOCK elements at a time, added
+    into the matrix."""
+    D, F = G.D, M1.F
+    assert F is M2.F and F.order_of[0] == 1, "modules over one subgroup"
+    rc, nd, dt, pN = M1.rank * M2.rank, len(elems), ring.dtype, ring.pN
+    # E_f on M1* (x) M2, built for the f at hand: the dual acts by
+    # inverse transposes
+    dual = M1.array()[np.array(F.inverse, dtype=np.intp)].swapaxes(1, 2)
+    right = M2.array()
+    dchars = [a.inverse().mul(b) for a in M1.dchars for b in M2.dchars]
     idx = {e: i for i, e in enumerate(elems)}
-    fid = 0
-    assert F.order_of[fid] == 1, "subgroup lost its identity at index 0"
-
-    perms = []
-    for f in range(F.n):
-        pe = C.embed[f]
-        perms.append(tuple(idx[G.action.apply(pe, e)] for e in elems))
-
+    perms = np.array([[idx[G.action.apply(M1.embed[f], e)] for e in elems]
+                      for f in range(F.n)], dtype=np.intp).reshape(F.n, nd)
+    # elems[s] + elems[t] as an index, -1 where the sum is the identity
+    X, qs = np.array(elems, dtype=np.intp).reshape(nd, D.t), np.array(D.qs)
+    radix = np.cumprod([1] + D.qs[:0:-1])[::-1]  # mixed-radix element codes
+    lookup = np.full(D.order, -1)
+    lookup[X @ radix] = np.arange(nd)
+    merge = lookup[(X[:, None] + X) % qs @ radix]
     qm = max(D.exponent, 1)
-    if all(ch.is_trivial() for ch in C.dchars):
-        # reductions mod pi: p-power roots collapse to 1
-        dscal = [[ring.one] * nd for _ in range(rc)]
-    else:
-        zpow = [ring.one]
-        z = ring.zeta_elt(qm)
-        for _ in range(qm - 1):
-            zpow.append(ring.mul(zpow[-1], z))
-        dscal = [[zpow[C.dchars[c].value_exponent(e) % qm] for e in elems]
-                 for c in range(rc)]
-
-    trivial_F = F.n == 1
-    unit_cols = [[ring.one if i == j else ring.zero for i in range(rc)]
-                 for j in range(rc)]
-
+    ex = np.array([[ch.value_exponent(e) % qm for e in elems]
+                   for ch in dchars], dtype=np.intp).reshape(rc, nd)
+    # (rc, nd, dim); reductions mod pi only ever see trivial characters
+    dscal = ring.root_powers(qm if ex.any() else 1)[ex]
+    fixed = {}  # stabilizer -> (B, L) of its fixed coefficients
     degrees = []
     for m in range(top + 1):
-        reps, bases, lrows, offsets, registry = [], [], [], [], {}
-        rank = 0
-        for tup in itertools.product(range(nd), repeat=m):
-            if tup in registry:
-                continue
-            oid = len(reps)
-            if trivial_F:
-                registry[tup] = (oid, fid)
-                stab_size = 1
-            else:
-                registry[tup] = (oid, fid)
-                queue = [tup]
-                while queue:
-                    cur = queue.pop()
-                    _, fcur = registry[cur]
-                    for f in range(F.n):
-                        nxt = tuple(perms[f][t] for t in cur)
-                        if nxt not in registry:
-                            registry[nxt] = (oid, F.table[f][fcur])
-                            queue.append(nxt)
-                stab_size = sum(1 for f in range(F.n)
-                                if tuple(perms[f][t] for t in tup) == tup)
-            if stab_size == 1:
-                basis, L = unit_cols, unit_cols
-            else:
-                stab = [f for f in range(F.n)
-                        if tuple(perms[f][t] for t in tup) == tup]
-                inv_s = ring.inv(ring.from_int(len(stab)))
-                cols = []
-                for l in range(rc):
-                    col = [ring.zero] * rc
-                    for s in stab:
-                        for r in range(rc):
-                            a = C.emats[s][r][l]
-                            if a != ring.zero:
-                                col[r] = ring.add(col[r], a)
-                    cols.append([ring.mul(inv_s, a) for a in col])
-                basis, L = _basis_and_left_inverse(ring, cols)
-            reps.append(tup)
-            bases.append(basis)
-            lrows.append(L)
-            offsets.append(rank)
-            rank += len(basis)
-        degrees.append({"reps": reps, "bases": bases, "L": lrows,
-                        "offsets": offsets, "registry": registry,
-                        "rank": rank})
+        place = nd ** np.arange(m - 1, -1, -1)
+        codes = np.arange(nd ** m)
+        digits = codes[:, None] // place % nd
+        img = (perms[:, digits] * place).sum(axis=-1)  # codes of f . t
+        back = img.argmin(axis=0)  # f taking t to its orbit's least code
+        reps = np.flatnonzero(img[back, codes] == codes)
+        stabbed = np.flatnonzero((img[:, reps] == reps).sum(axis=0) > 1)
+        # orbits with a stabilizer get padded B, L; the others use identities
+        B = np.zeros((len(stabbed), rc, rc, ring.dim), dtype=dt)
+        L = np.zeros_like(B)
+        ks = np.full(len(reps), rc)
+        for s, o in enumerate(stabbed):
+            stab = tuple(np.flatnonzero(img[:, reps[o]] == reps[o]).tolist())
+            if stab not in fixed:
+                inv_s = np.array(ring.inv(ring.from_int(len(stab))), dtype=dt)
+                avg = sum(kron_array(ring, dual[[f]], right[[f]])[0]
+                          for f in stab) % pN
+                cols = ring.mul_arrays(avg, inv_s).transpose(1, 0, 2)
+                kept, l = free_basis(ring, cols)
+                fixed[stab] = cols[kept].transpose(1, 0, 2), l
+            b, l = fixed[stab]
+            ks[o] = b.shape[1]
+            B[s, :, :ks[o]] = b
+            L[s, :ks[o]] = l
+        slot = np.full(len(reps), -1)
+        slot[stabbed] = np.arange(len(stabbed))
+        degrees.append({
+            "reps": digits[reps], "orbit": np.searchsorted(reps, img[back, codes]),
+            "via": np.array(F.inverse, dtype=np.intp)[back],  # t = via . rep
+            "B": B, "L": L, "slot": slot, "offset": np.cumsum(ks) - ks,
+            "rank": int(ks.sum()), "pad": rc - ks[-1] if len(ks) else 0})
 
+    span, chunk = np.arange(rc), max(1, BLOCK // (rc * rc * ring.dim))
     diffs = []
     for m in range(1, top + 1):
         lo, hi = degrees[m - 1], degrees[m]
-        dmat: dict[tuple, tuple] = {}
-        for oid, sigma in enumerate(hi["reps"]):
-            L = hi["L"][oid]
-            if not L:
-                continue
-            faces = [(sigma[1:], 1, sigma[0])]
-            for k in range(1, m):
-                merged = D.add(elems[sigma[k - 1]], elems[sigma[k]])
-                if merged == D.identity:
-                    continue
-                tgt = sigma[:k - 1] + (idx[merged],) + sigma[k + 1:]
-                faces.append((tgt, -1 if k % 2 else 1, None))
-            faces.append((sigma[:m - 1], -1 if m % 2 else 1, None))
-            for tgt, sign, g0 in faces:
-                o, f = lo["registry"][tgt]
-                off = lo["offsets"][o]
-                for l, b in enumerate(lo["bases"][o]):
-                    v = b if f == fid else _mat_vec(ring, C.emats[f], b)
-                    if g0 is not None:
-                        v = [ring.mul(dscal[c][g0], v[c]) for c in range(rc)]
-                    for jp in range(len(L)):
-                        s = _dot(ring, L[jp], v)
-                        if s == ring.zero:
-                            continue
-                        if sign < 0:
-                            s = ring.neg(s)
-                        key = (hi["offsets"][oid] + jp, off + l)
-                        cur = dmat.get(key)
-                        dmat[key] = s if cur is None else ring.add(cur, s)
-        diffs.append({k: v for k, v in dmat.items() if v != ring.zero})
+        S, place = hi["reps"], nd ** np.arange(m - 2, -1, -1)
+        n = np.arange(len(S))
+        # faces: (hi orbits, target tuples, sign); face 0 also scales by g0
+        faces = [(n, S[:, 1:], 1)]
+        for k in range(1, m):
+            mid = merge[S[:, k - 1], S[:, k]]
+            ok = mid >= 0
+            faces.append((n[ok], np.concatenate(
+                [S[ok, :k - 1], mid[ok, None], S[ok, k + 1:]], axis=1),
+                -1 if k % 2 else 1))
+        faces.append((n, S[:, :m - 1], -1 if m % 2 else 1))
+        # padding rows and columns of each block are zero, so they may
+        # spill into the next block, or past the last into a margin
+        dmat = np.zeros((hi["rank"] + hi["pad"], lo["rank"] + lo["pad"],
+                         ring.dim), dtype=dt)
+        for face, (hs, tgts, sign) in enumerate(faces):
+            for at in range(0, len(hs), chunk):  # bounded temporaries
+                h, tcode = hs[at:at + chunk], tgts[at:at + chunk] @ place
+                o = lo["orbit"][tcode]
+                f = lo["via"][tcode]
+                blk = kron_array(ring, dual[f], right[f])  # E_f B_o, scaled
+                sel = np.flatnonzero(lo["slot"][o] >= 0)
+                blk[sel] = ring.matmul(blk[sel], lo["B"][lo["slot"][o[sel]]])
+                if face == 0:  # row c scales by lambda_c(g0)
+                    blk = ring.mul_arrays(
+                        blk, dscal[:, S[h, 0]].transpose(1, 0, 2)[:, :, None])
+                if sign < 0:
+                    np.negative(blk, out=blk)
+                sel = np.flatnonzero(hi["slot"][h] >= 0)
+                blk[sel] = ring.matmul(hi["L"][hi["slot"][h[sel]]], blk[sel])
+                np.add.at(dmat, (hi["offset"][h][:, None, None] + span[:, None],
+                                 lo["offset"][o][:, None, None] + span), blk)
+        dmat %= pN
+        diffs.append(dmat[:hi["rank"], :lo["rank"]])
 
-    ranks = [degrees[m]["rank"] for m in range(top + 1)]
-    cx = ChainComplex(ring, ranks, diffs)
+    cx = ChainComplex(ring, [d["rank"] for d in degrees], diffs)
     cx.verify()
     return cx
 
@@ -294,23 +217,23 @@ def _profile(G, M1, M2, degrees, R, *, elems=None, size_guard=None):
         raise SizeGuardExceeded(
             f"bar complex size ({len(elems)}^{top} x {rc}) exceeds "
             f"the guard {guard}")
-    out = {}
-    cx = _fixed_bar_complex(R, G, elems, M1, M2, top)
+    def classes(ring, A, B):  # one complex alive at a time
+        cx = _fixed_bar_complex(ring, G, elems, A, B, top)
+        out = {}
+        for i in degrees:
+            free, tors = homology_of_complex(cx, i, acyclic=True)
+            out[i] = OModuleClass(ring.p, free,
+                                  tuple(Fraction(t, ring.e) for t in tors))
+        return out
+
+    out = classes(R, M1, M2)
     ring2 = chain_ring(R.p, R.N + 2, R.a, R.mprime)
-    cx2 = _fixed_bar_complex(ring2, G, elems, M1.builder(ring2),
-                             M2.builder(ring2), top)
+    out2 = classes(ring2, M1.builder(ring2), M2.builder(ring2))
     for i in degrees:
-        free, tors = homology_of_complex(cx, i, acyclic=True)
-        cls = OModuleClass(R.p, free, tuple(Fraction(t, R.e) for t in tors))
-        free2, tors2 = homology_of_complex(cx2, i, acyclic=True)
-        cls2 = OModuleClass(R.p, free2,
-                            tuple(Fraction(t, ring2.e) for t in tors2))
-        if cls != cls2:
-            from .errors import PrecisionUnstable
+        if out[i] != out2[i]:
             raise PrecisionUnstable(
                 f"H^{i} changed under precision increase: "
-                f"{cls.pretty()} vs {cls2.pretty()}")
-        out[i] = cls
+                f"{out[i].pretty()} vs {out2[i].pretty()}")
     return out
 
 

@@ -11,26 +11,13 @@ coset representatives.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .chars import BlockCharacter, ClassFunction
+from .chainlinalg import free_basis
 from .chainring import ChainRing
 from .errors import BlockExtError, IdempotentNotSplit
 from .groups import BlockContext, FiniteGroup, LinearChar, SemidirectGroup
-
-
-def _mat_mul(ring, A, B):
-    n, m, k = len(A), len(B[0]), len(B)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = ring.zero
-            for l in range(k):
-                a = A[i][l]
-                if a != ring.zero and B[l][j] != ring.zero:
-                    acc = ring.add(acc, ring.mul(a, B[l][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def _transpose(A):
@@ -55,31 +42,32 @@ class ModuleRep:
         self.builder = builder
         assert len(emats) == F.n
 
+    def array(self) -> np.ndarray:
+        """The F-matrices as an element array (F.n, rank, rank, dim)."""
+        R = self.ring
+        return np.array(self.emats, dtype=R.dtype).reshape(
+            self.F.n, self.rank, self.rank, R.dim)
+
     def verify(self, G: SemidirectGroup):
         """Cayley relations and the semidirect compatibility, exactly."""
-        R = self.ring
-        for a in range(self.F.n):
-            for b in range(self.F.n):
-                if _mat_mul(R, self.emats[a], self.emats[b]) != \
-                        self.emats[self.F.table[a][b]]:
-                    raise BlockExtError("module matrices violate the Cayley table")
+        R, M = self.ring, self.array()
+        prods = R.matmul(M[:, None], M[None, :])
+        if not np.array_equal(prods, M[np.array(self.F.table)]):
+            raise BlockExtError("module matrices violate the Cayley table")
         # f . d = (A(f) d) . f  on a D-eigenbasis: rho(f) diag(lam_k(d))
         # must equal diag(lam_k(A(f) d)) rho(f)
+        zpow = R.root_powers(G.D.exponent)
         gens = [tuple(1 if i == j else 0 for i in range(G.D.t))
                 for j in range(G.D.t)]
         for fi, fe in enumerate(self.embed):
-            M = self.emats[fi]
             for d in gens:
                 ad = G.action.apply(fe, d)
-                for i in range(self.rank):
-                    zi = R.power(R.zeta_elt(G.D.exponent),
-                                 self.dchars[i].value_exponent(ad))
-                    for j in range(self.rank):
-                        zj = R.power(R.zeta_elt(G.D.exponent),
-                                     self.dchars[j].value_exponent(d))
-                        if R.mul(zi, M[i][j]) != R.mul(M[i][j], zj):
-                            raise BlockExtError(
-                                "module violates the semidirect relation")
+                zl = zpow[[lam.value_exponent(ad) for lam in self.dchars]]
+                zr = zpow[[lam.value_exponent(d) for lam in self.dchars]]
+                if not np.array_equal(R.mul_arrays(M[fi], zl[:, None]),
+                                      R.mul_arrays(M[fi], zr[None, :])):
+                    raise BlockExtError(
+                        "module violates the semidirect relation")
         return True
 
     def dual(self) -> "ModuleRep":
@@ -94,13 +82,8 @@ class ModuleRep:
         assert self.F is other.F and self.ring is other.ring
         R = self.ring
         dchars = [a.mul(b) for a in self.dchars for b in other.dchars]
-        emats = []
-        for f in range(self.F.n):
-            A, B = self.emats[f], other.emats[f]
-            n, m = self.rank, other.rank
-            M = [[R.mul(A[i][k], B[j][l]) for k in range(n) for l in range(m)]
-                 for i in range(n) for j in range(m)]
-            emats.append(tuple(tuple(row) for row in M))
+        emats = [tuple(tuple(map(tuple, row)) for row in M.tolist())
+                 for M in kron_array(R, self.array(), other.array())]
         return ModuleRep(R, self.F, self.embed, dchars, emats,
                          f"({self.provenance})x({other.provenance})")
 
@@ -112,75 +95,16 @@ class ModuleRep:
                          f"res({self.provenance})")
 
 
+def kron_array(ring: ChainRing, A, B) -> np.ndarray:
+    """F-matrices of a tensor product from the factors' (F.n, r, r, dim)
+    arrays: entry ((i, j), (k, l)) is A[i, k] B[j, l]."""
+    n = A.shape[1] * B.shape[1]
+    return ring.mul_arrays(A[:, :, None, :, None], B[:, None, :, None, :]
+                           ).reshape(len(A), n, n, ring.dim)
+
+
 def _embed_char_values(ring, F, chi: ClassFunction):
     return [ring.embed_cyclo(chi.values[F.class_of[g]]) for g in range(F.n)]
-
-
-def _unit_span_basis(ring, vectors):
-    """Indices of a free basis of the span, found by unit-pivot echelon."""
-    work = [list(v) for v in vectors]
-    chosen, pivots = [], []
-    for idx, vec in enumerate(work):
-        v = vec[:]
-        for (prow, pcol) in zip(chosen, pivots):
-            f = v[pcol]
-            if f != ring.zero:
-                red = work[prow]
-                v = [ring.sub(a, ring.mul(f, b)) for a, b in zip(v, red)]
-        piv = next((j for j, a in enumerate(v) if a != ring.zero
-                    and ring.val(a) == 0), None)
-        if piv is None:
-            continue
-        inv = ring.inv(v[piv])
-        work[idx] = [ring.mul(inv, a) for a in v]
-        for (prow, pcol) in zip(chosen, pivots):
-            f = work[prow][piv]
-            if f != ring.zero:
-                work[prow] = [ring.sub(a, ring.mul(f, b))
-                              for a, b in zip(work[prow], work[idx])]
-        chosen.append(idx)
-        pivots.append(piv)
-    return chosen, pivots
-
-
-def _solve_in_basis(ring, basis, target):
-    """Coordinates of target in the given free basis (unit pivots assumed)."""
-    n = len(basis)
-    # reduced[i] = sum_j trans[i][j] basis[j], kept in echelon form
-    reduced, trans, pivots = [], [], []
-    for i, b in enumerate(basis):
-        v = list(b)
-        c = [ring.one if j == i else ring.zero for j in range(n)]
-        for r, t, p in zip(reduced, trans, pivots):
-            f = v[p]
-            if f != ring.zero:
-                v = [ring.sub(a, ring.mul(f, x)) for a, x in zip(v, r)]
-                c = [ring.sub(a, ring.mul(f, x)) for a, x in zip(c, t)]
-        piv = next(j for j, a in enumerate(v)
-                   if a != ring.zero and ring.val(a) == 0)
-        inv = ring.inv(v[piv])
-        v = [ring.mul(inv, a) for a in v]
-        c = [ring.mul(inv, a) for a in c]
-        for k in range(len(reduced)):
-            f = reduced[k][piv]
-            if f != ring.zero:
-                reduced[k] = [ring.sub(a, ring.mul(f, x))
-                              for a, x in zip(reduced[k], v)]
-                trans[k] = [ring.sub(a, ring.mul(f, x))
-                            for a, x in zip(trans[k], c)]
-        reduced.append(v)
-        trans.append(c)
-        pivots.append(piv)
-    t = list(target)
-    coords = [ring.zero] * n
-    for r, tr, p in zip(reduced, trans, pivots):
-        f = t[p]
-        if f != ring.zero:
-            t = [ring.sub(a, ring.mul(f, x)) for a, x in zip(t, r)]
-            coords = [ring.add(a, ring.mul(f, x)) for a, x in zip(coords, tr)]
-    if any(a != ring.zero for a in t):
-        raise IdempotentNotSplit("vector does not lie in the split summand")
-    return coords
 
 
 def _vchi_matrices(ring, F: FiniteGroup, chi: ClassFunction):
@@ -231,16 +155,21 @@ def _vchi_matrices(ring, F: FiniteGroup, chi: ClassFunction):
             if all(a == ring.zero for a in v):
                 continue
             translates = [translate(g, v) for g in range(n)]
-            basis_idx, _ = _unit_span_basis(ring, translates)
-            if len(basis_idx) != deg:
+            kept, L = free_basis(ring, translates)
+            if len(kept) != deg:
                 continue
-            basis = [translates[i] for i in basis_idx]
+            basis = [translates[i] for i in kept]
+            B = np.array(basis, dtype=ring.dtype).transpose(1, 0, 2)
             emats = []
             for g in range(n):
-                cols = [_solve_in_basis(ring, basis, translate(g, b))
-                        for b in basis]
-                emats.append(tuple(tuple(cols[j][i] for j in range(deg))
-                                   for i in range(deg)))
+                images = np.array([translate(g, b) for b in basis],
+                                  dtype=ring.dtype).transpose(1, 0, 2)
+                coords = ring.matmul(L, images)
+                if not np.array_equal(ring.matmul(B, coords), images):
+                    raise IdempotentNotSplit(
+                        "vector does not lie in the split summand")
+                emats.append(tuple(tuple(map(tuple, row))
+                                   for row in coords.tolist()))
             for g in range(n):
                 tr = ring.zero
                 for i in range(deg):

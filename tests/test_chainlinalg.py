@@ -1,18 +1,21 @@
-"""Homology over the chain ring, checked against known cyclic cohomology."""
+"""Homology over the chain ring, checked against known cyclic cohomology,
+and the dense Smith elimination against a plain scalar one."""
 
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockext.chainlinalg import (
     ChainComplex,
     ChainMatrix,
+    _smith_exponents,
     homology_class,
     homology_of_complex,
     snf_chain_ring,
 )
-from blockext.chainring import chain_ring
+from blockext.chainring import ChainRing, chain_ring
 from blockext.errors import BlockExtError, PrecisionUnstable
 
 
@@ -136,3 +139,138 @@ def test_chain_matrix_mul():
     assert ChainMatrix.zeros(R, 2, 2).is_zero()
     assert ChainMatrix.identity(R, 2).to_entries() == {
         (0, 0): R.one, (1, 1): R.one}
+
+
+# -- the dense Smith routine against a scalar reference --------------------
+
+def reference_exponents(R, rows, threshold):
+    """Global minimal-valuation elimination on lists of element tuples,
+    written with the scalar ChainRing.val and div_dominated only."""
+    rows = [list(r) for r in rows]
+    live = set(range(len(rows)))
+    exps = []
+    while True:
+        cands = [(R.val(v), i, j) for i in live
+                 for j, v in enumerate(rows[i]) if v != R.zero]
+        if not cands:
+            return exps
+        v0, i0, j0 = min(cands)
+        if v0 >= threshold:
+            return exps
+        a = rows[i0][j0]
+        for i in live - {i0}:
+            if rows[i][j0] != R.zero:
+                q = R.div_dominated(rows[i][j0], a)
+                rows[i] = [R.sub(x, R.mul(q, y))
+                           for x, y in zip(rows[i], rows[i0])]
+                assert rows[i][j0] == R.zero
+        live.discard(i0)
+        exps.append(v0)
+
+
+RING_SHAPES = {
+    "example-c": (2, 6, 2, 3),
+    "c3x9": (3, 6, 2, 1),
+    "c3x9-recheck": (3, 8, 2, 1),
+    "q8": (3, 4, 1, 4),
+    "plain": (3, 5, 0, 1),
+    "p5-dim20": (5, 6, 2, 1),
+}
+
+
+@st.composite
+def ring_matrices(draw, R):
+    """Random small matrices whose entries have spread-out valuations;
+    half of them are products, which repeat invariant factors."""
+    def element():
+        if draw(st.integers(0, 3)) == 0:
+            return R.zero
+        unit = tuple(draw(st.lists(st.integers(0, R.pN - 1),
+                                   min_size=R.dim, max_size=R.dim)))
+        return R.mul(unit, R.pi_pow(draw(st.integers(0, R.cap))))
+
+    def matrix(m, n):
+        return [[element() for _ in range(n)] for _ in range(m)]
+
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return matrix(m, n)
+    k = draw(st.integers(1, 3))
+    A, B = matrix(m, k), matrix(k, n)
+    out = []
+    for i in range(m):
+        row = []
+        for j in range(n):
+            acc = R.zero
+            for l in range(k):
+                acc = R.add(acc, R.mul(A[i][l], B[l][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("shape", sorted(RING_SHAPES))
+def test_smith_matches_reference(shape):
+    R = chain_ring(*RING_SHAPES[shape])
+
+    @settings(derandomize=True, max_examples=25, deadline=None,
+              database=None)
+    @given(rows=ring_matrices(R), threshold=st.integers(0, R.cap + 2))
+    def check(rows, threshold):
+        mat = ChainMatrix(R, rows)
+        got = _smith_exponents(R, mat.array(), threshold)
+        assert got == reference_exponents(R, rows, threshold)
+
+    check()
+
+
+def test_smith_past_int64_bound_uses_objects():
+    R = chain_ring(3, 40, 0, 1)
+    assert R.dim * (R.pN - 1) ** 2 >= 1 << 63 and R.dtype is object
+    # U diag(3^5, 3^39, 3^0) W with U, W unimodular over Z
+    diag = [[R.from_int(3 ** 5), R.zero, R.zero],
+            [R.zero, R.from_int(3 ** 39), R.zero],
+            [R.zero, R.zero, R.one]]
+    U = ChainMatrix(R, [[R.from_int(c) for c in row]
+                        for row in ((1, 2, 0), (0, 1, -7), (4, 9, -27))])
+    W = ChainMatrix(R, [[R.from_int(c) for c in row]
+                        for row in ((1, 0, 5), (3, 1, 0), (-2, 11, 1))])
+    M = U.mul(ChainMatrix(R, diag)).mul(W)
+    A = M.array()
+    assert A.dtype == object
+    assert _smith_exponents(R, A, R.cap) == [0, 5, 39]
+    assert reference_exponents(R, M.rows, R.cap) == [0, 5, 39]
+    assert snf_chain_ring(M) == [0, 5, R.cap]  # threshold cap / 2 = 20
+
+
+def test_smith_residue_names_ring():
+    R = ChainRing(3, 4, 0, 1)  # a private instance: its inverse is broken
+    R.inv = lambda u: R.from_int(2)
+    M = ChainMatrix(R, [[R.one], [R.one]])
+    with pytest.raises(BlockExtError, match="residue") as err:
+        snf_chain_ring(M)
+    assert str(R.key()) in str(err.value)
+    assert "2x1 matrix" in str(err.value) and "pivot (0, 0)" in str(err.value)
+
+
+def test_negative_free_rank_names_ring():
+    R = chain_ring(3, 4, 0, 1)
+    # not a complex: d1 d0 != 0, so the ranks cannot add up
+    cx = ChainComplex(R, [1, 1, 1], [{(0, 0): R.one}, {(0, 0): R.one}])
+    with pytest.raises(PrecisionUnstable) as err:
+        homology_of_complex(cx, 1)
+    assert str(R.key()) in str(err.value)
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 1, 1), (3, 40, 0, 1)])
+def test_array_built_complex_exposes_dicts(shape):
+    R = chain_ring(*shape)  # the second is stored in uint64, run as objects
+    cx = cyclic_bar_complex(R, 3, 0, 3)
+    arrays = ChainComplex(R, cx.ranks, [cx.matrix(i) for i in range(3)])
+    assert arrays.diffs == cx.diffs
+    assert [homology_of_complex(arrays, i) for i in range(3)] == \
+        [homology_of_complex(cx, i) for i in range(3)] == \
+        [(1, []), (0, []), (0, [R.e])]
+    arrays.diffs[1][(0, 0)] = R.add(arrays.diffs[1].get((0, 0), R.zero), R.one)
+    with pytest.raises(BlockExtError):
+        arrays.verify()
