@@ -23,7 +23,6 @@ from .errors import (
 )
 from .omodule import (
     OModuleClass,
-    Valuation,
     kunneth_assemble,
     tensor_tor,
     val_one_minus_zeta,
@@ -32,10 +31,8 @@ from .omodule import (
 from .chainring import ChainRing, chain_ring
 from .chainlinalg import (
     ChainComplex,
-    ChainMatrix,
     homology_class,
     homology_of_complex,
-    snf_chain_ring,
 )
 from .groups import (
     AbelianPGroup,
@@ -57,7 +54,6 @@ from .chars import (
     induce,
     irr_over_phi,
     lifts_of,
-    mackey_restrict_induced,
     reduce_to_brauer,
     restrict,
 )
@@ -79,7 +75,6 @@ from .analysis import (
     CandidateSet,
     GoodnessReport,
     check_conjugacy_forcing,
-    check_stable_chars,
     enumerate_good_sets,
     ext_quiver,
     is_good,

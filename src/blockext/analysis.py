@@ -1,4 +1,4 @@
-"""Good subsets of Irr(B), stable characters, forcing, and the quiver.
+"""Good subsets of Irr(B), conjugacy forcing, and the Ext quiver.
 
 A candidate set picks one lift per Brauer character; it is good when
 every ordered pair (diagonal included) has Ext^2 a direct sum of
@@ -175,30 +175,6 @@ def verify_classification(ctx: BlockContext,
                      "violations": [(pair, e.pretty(), why)
                                     for pair, e, why in rep.violations]})
     return agree, report
-
-
-def check_stable_chars(ctx: BlockContext, d1_override=None) -> bool:
-    """Is the trivial character the only E-fixed linear character of D_1?
-
-    d1_override substitutes another element list (negative-control use)."""
-    G = ctx.G
-    D = G.D
-    elements = d1_override if d1_override is not None else G.d1_elements
-    gens = [e for e in range(G.E.n)]
-    fixed = set()
-    seen = set()
-    for vec in itertools.product(*(range(q) for q in D.qs)):
-        lam = LinearChar(D, tuple(vec))
-        values = tuple(lam.value_exponent(x) for x in elements)
-        if values in seen:
-            continue
-        seen.add(values)
-        stable = all(
-            lam.value_exponent(G.action.apply(e, x)) == lam.value_exponent(x)
-            for e in gens for x in elements)
-        if stable:
-            fixed.add(values)
-    return fixed == {tuple(0 for _ in elements)}
 
 
 def check_conjugacy_forcing(ctx: BlockContext,

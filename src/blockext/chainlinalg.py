@@ -18,10 +18,11 @@ other rows, so the row retires with invariant factor pi^v.  The
 computation therefore agrees with the exact one over O until an entry
 that is O-nonzero truncates to zero; such divergences only inject
 entries of valuation >= cap - V, where V bounds the honest invariant
-factors, and the threshold (default cap/2) keeps them classified as
-zero.  homology_class re-verifies by recomputing at precision N+2 and
-comparing classes.  A column entry left nonzero after its elimination
-contradicts q a = b and is raised as a bug, never ignored.
+factors, and homology reads only exponents below cap/2, which keeps
+them classified as zero.  homology_class re-verifies by recomputing at
+precision N+2 and comparing classes.  A column entry left nonzero after
+its elimination contradicts q a = b and is raised as a bug, never
+ignored.
 
 Each pivot costs array work only on the rows with a nonzero entry in the
 pivot column and the columns with one in the pivot row: the quotients q
@@ -81,44 +82,6 @@ def _sparse(A) -> dict:
     nz = np.argwhere((A != 0).any(axis=-1))
     return {(r, c): tuple(v) for (r, c), v in
             zip(nz.tolist(), A[nz[:, 0], nz[:, 1]].tolist())}
-
-
-class ChainMatrix:
-    """Dense matrix over a ChainRing, rows of element tuples."""
-
-    def __init__(self, ring: ChainRing, rows: list[list[tuple]]):
-        self.ring = ring
-        self.rows = rows
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        assert all(len(r) == self.ncols for r in rows)
-
-    @classmethod
-    def zeros(cls, ring, m, n):
-        return cls(ring, [[ring.zero] * n for _ in range(m)])
-
-    @classmethod
-    def identity(cls, ring, n):
-        M = cls.zeros(ring, n, n)
-        for i in range(n):
-            M.rows[i][i] = ring.one
-        return M
-
-    def array(self):
-        return np.array(self.rows, dtype=self.ring.dtype).reshape(
-            self.nrows, self.ncols, self.ring.dim)
-
-    def mul(self, other: "ChainMatrix") -> "ChainMatrix":
-        assert self.ncols == other.nrows
-        out = self.ring.matmul(self.array(), other.array()).tolist()
-        return ChainMatrix(self.ring, [[tuple(v) for v in row] for row in out])
-
-    def is_zero(self) -> bool:
-        z = self.ring.zero
-        return all(v == z for row in self.rows for v in row)
-
-    def to_entries(self) -> dict:
-        return _sparse(self.array())
 
 
 def free_basis(ring: ChainRing, vectors):
@@ -205,15 +168,6 @@ def _smith_exponents(ring: ChainRing, A, threshold) -> list[int]:
     return exps
 
 
-def snf_chain_ring(mat: ChainMatrix, threshold: int | None = None) -> list[int]:
-    """All min(m, n) diagonal Smith exponents; cap stands for zero."""
-    ring = mat.ring
-    thr = (ring.cap + 1) // 2 if threshold is None else threshold
-    exps = _smith_exponents(ring, mat.array(), thr)
-    exps.extend([ring.cap] * (min(mat.nrows, mat.ncols) - len(exps)))
-    return exps
-
-
 class ChainComplex:
     """A bounded complex of free modules over a ChainRing.
 
@@ -270,8 +224,7 @@ class ChainComplex:
         return True
 
 
-def homology_of_complex(cx: ChainComplex, i: int,
-                        threshold: int | None = None,
+def homology_of_complex(cx: ChainComplex, i: int, *,
                         acyclic: bool = False) -> tuple[int, list[int]]:
     """(free rank, torsion pi-exponents desc) of H^i(cx).
 
@@ -284,7 +237,7 @@ def homology_of_complex(cx: ChainComplex, i: int,
     top = len(cx.ranks) - 1
     if not 0 <= i <= top:
         raise ValueError(f"position {i} outside complex")
-    thr = (ring.cap + 1) // 2 if threshold is None else threshold
+    thr = (ring.cap + 1) // 2
     if i == 0:
         rank_in, torsion = 0, []
     else:
@@ -310,8 +263,7 @@ def homology_of_complex(cx: ChainComplex, i: int,
     return free, torsion
 
 
-def homology_class(builder, i: int, *, threshold: int | None = None,
-                   acyclic: bool = False, reverify: bool = True) -> OModuleClass:
+def homology_class(builder, i: int, *, acyclic: bool = False) -> OModuleClass:
     """O-module class of H^i, re-verified at higher precision.
 
     builder(extra) must return a ChainComplex over a ring with precision
@@ -320,20 +272,18 @@ def homology_class(builder, i: int, *, threshold: int | None = None,
     """
     cx = builder(0)
     ring = cx.ring
-    free, tors = homology_of_complex(cx, i, threshold, acyclic)
+    free, tors = homology_of_complex(cx, i, acyclic=acyclic)
     cls = OModuleClass(ring.p, free,
                        tuple(Fraction(t, ring.e) for t in tors))
-    if reverify:
-        del cx  # one complex alive at a time
-        cx2 = builder(2)
-        if cx2.ring.N != ring.N + 2:
-            raise BlockExtError("reverify builder ignored the extra precision")
-        thr2 = None if threshold is None else threshold + 2 * cx2.ring.e
-        free2, tors2 = homology_of_complex(cx2, i, thr2, acyclic)
-        cls2 = OModuleClass(cx2.ring.p, free2,
-                            tuple(Fraction(t, cx2.ring.e) for t in tors2))
-        if cls != cls2:
-            raise PrecisionUnstable(
-                f"homology class changed under precision increase: "
-                f"{cls.pretty()} vs {cls2.pretty()}")
+    del cx  # one complex alive at a time
+    cx2 = builder(2)
+    if cx2.ring.N != ring.N + 2:
+        raise BlockExtError("reverify builder ignored the extra precision")
+    free2, tors2 = homology_of_complex(cx2, i, acyclic=acyclic)
+    cls2 = OModuleClass(cx2.ring.p, free2,
+                        tuple(Fraction(t, cx2.ring.e) for t in tors2))
+    if cls != cls2:
+        raise PrecisionUnstable(
+            f"homology class changed under precision increase: "
+            f"{cls.pretty()} vs {cls2.pretty()}")
     return cls

@@ -485,12 +485,6 @@ class ChainRing:
 
     # -- precision and residue maps -----------------------------------
 
-    def reduce_from(self, other: "ChainRing", u) -> tuple:
-        """Reduce an element of a higher-precision ring into this one."""
-        assert (self.p, self.a, self.mprime) == (other.p, other.a, other.mprime)
-        assert self.N <= other.N
-        return tuple(c % self.pN for c in u)
-
     def residue_ring(self) -> "ChainRing":
         return chain_ring(self.p, 1, 0, self.mprime)
 

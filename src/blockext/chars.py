@@ -66,11 +66,6 @@ class ClassFunction:
             raise BlockExtError("inner product is not rational")
         return acc.as_fraction()
 
-    def mul_pointwise(self, other: "ClassFunction") -> "ClassFunction":
-        assert self.group is other.group
-        return ClassFunction(self.group,
-                             [a * b for a, b in zip(self.values, other.values)])
-
     def sort_key(self):
         return (self.degree(), tuple(v.sort_key() for v in self.values))
 
@@ -226,9 +221,6 @@ def _verify_orthogonality(E: FiniteGroup, chars: list[ClassFunction]):
 
 def char_table(E: FiniteGroup) -> tuple[ClassFunction, ...]:
     """All irreducible characters, verified and deterministically sorted."""
-    cached = getattr(E, "_char_table", None)
-    if cached is not None:
-        return cached
     cls = E.classes
     k = len(cls)
     ell = _dixon_prime(E)
@@ -276,9 +268,7 @@ def char_table(E: FiniteGroup) -> tuple[ClassFunction, ...]:
         chars.append(ClassFunction(E, values))
     _verify_orthogonality(E, chars)
     chars.sort(key=ClassFunction.sort_key)
-    table = tuple(chars)
-    E._char_table = table
-    return table
+    return tuple(chars)
 
 
 def irr_over_phi(F: FiniteGroup, z_local: int, zorder: int,
@@ -301,7 +291,7 @@ def irr_over_phi(F: FiniteGroup, z_local: int, zorder: int,
 
 
 # ---------------------------------------------------------------------------
-# induction, restriction, Mackey
+# induction and restriction
 # ---------------------------------------------------------------------------
 
 def induce(G: FiniteGroup, embed: list[int], cf: ClassFunction) -> ClassFunction:
@@ -329,49 +319,12 @@ def restrict(G: FiniteGroup, cf: ClassFunction, H: FiniteGroup,
         H, [cf.values[G.class_of[embed[cls[0]]]] for cls in H.classes])
 
 
-def mackey_restrict_induced(G: FiniteGroup, H: FiniteGroup, embedH: list[int],
-                            K: FiniteGroup, embedK: list[int],
-                            cf: ClassFunction) -> list[tuple[int, ClassFunction]]:
-    """Double-coset pieces of (cf induced from K to G) restricted to H.
-
-    Returns [(g, piece)] with piece = ((g.cf) restricted to H meet gKg^-1)
-    induced to H; the sum of pieces is checked against the direct
-    restriction before returning.
-    """
-    assert cf.group is K
-    posH = {g: i for i, g in enumerate(embedH)}
-    posK = {g: i for i, g in enumerate(embedK)}
-    pieces = []
-    for g in G.double_cosets(embedH, embedK):
-        ginv = G.inverse[g]
-        inter = [h for h in embedH
-                 if G.table[G.table[ginv][h]][g] in posK]
-        L_H = sorted(posH[x] for x in inter)
-        L, embL = H.subgroup(L_H)
-        vals = []
-        for cls in L.classes:
-            x = embedH[embL[cls[0]]]
-            kk = posK[G.table[G.table[ginv][x]][g]]
-            vals.append(cf.values[K.class_of[kk]])
-        pieces.append((g, induce(H, embL, ClassFunction(L, vals))))
-    direct = restrict(G, induce(G, embedK, cf), H, embedH)
-    total = [ _ZERO for _ in H.classes ]
-    for _, piece in pieces:
-        total = [a + b for a, b in zip(total, piece.values)]
-    if tuple(total) != direct.values:
-        raise BlockExtError("Mackey pieces do not sum to the restriction")
-    return pieces
-
-
 # ---------------------------------------------------------------------------
 # the ordinary and Brauer characters of B
 # ---------------------------------------------------------------------------
 
 def full_group(G: SemidirectGroup) -> FiniteGroup:
     """G = D x| E as an explicit FiniteGroup with labels (d, e)."""
-    cached = getattr(G, "_full_group", None)
-    if cached is not None:
-        return cached
     n = G.D.order * G.E.n
     if n > _FULL_GROUP_BOUND:
         raise SizeGuardExceeded(
@@ -386,10 +339,7 @@ def full_group(G: SemidirectGroup) -> FiniteGroup:
                               G.E.table[e1][e2])])
         table.append(row)
     gens = [index[lab] for lab in labels[1:]]
-    FG = FiniteGroup(labels, table, gens)
-    FG._semidirect = G
-    G._full_group = FG
-    return FG
+    return FiniteGroup(labels, table, gens)
 
 
 class BlockCharacter:
@@ -410,10 +360,10 @@ class BlockCharacter:
         return f"BlockCharacter(lam={self.lam.vec}, degree={self.degree})"
 
 
-def block_char_on_subgroup(G: SemidirectGroup, c: BlockCharacter
+def block_char_on_subgroup(FG: FiniteGroup, c: BlockCharacter
                            ) -> tuple[FiniteGroup, list[int], ClassFunction]:
-    """(lambda, chi) as a class function on D x| E_lambda inside full G."""
-    FG = full_group(G)
+    """(lambda, chi) as a class function on D x| E_lambda inside the full
+    group FG (see full_group)."""
     stab_set = set(c.stab_embed)
     idx = [i for i, (d, e) in enumerate(FG.perms) if e in stab_set]
     H, embed = FG.subgroup(idx)
@@ -425,14 +375,14 @@ def block_char_on_subgroup(G: SemidirectGroup, c: BlockCharacter
     return H, embed, ClassFunction(H, vals)
 
 
-def induced_block_char(G: SemidirectGroup, c: BlockCharacter) -> ClassFunction:
-    H, embed, cf = block_char_on_subgroup(G, c)
-    return induce(full_group(G), embed, cf)
+def induced_block_char(FG: FiniteGroup, c: BlockCharacter) -> ClassFunction:
+    H, embed, cf = block_char_on_subgroup(FG, c)
+    return induce(FG, embed, cf)
 
 
 def build_irr_B(ctx: BlockContext) -> list[BlockCharacter]:
     """Irr(B) as BlockCharacters; degree sum and distinctness verified."""
-    cached = ctx.options.get("_irr_B")
+    cached = ctx.cache.get("irr_B")
     if cached is not None:
         return cached
     G = ctx.G
@@ -446,22 +396,23 @@ def build_irr_B(ctx: BlockContext) -> list[BlockCharacter]:
             out.append(BlockCharacter(orbit["rep"], chi, stab, embed, G.E.n))
     if sum(c.degree ** 2 for c in out) != G.order // zorder:
         raise BlockExtError("degree sum check failed for Irr(B)")
-    induced = [induced_block_char(G, c) for c in out]
+    FG = full_group(G)
+    induced = [induced_block_char(FG, c) for c in out]
     for i in range(len(induced)):
         for j in range(i + 1, len(induced)):
             if induced[i].values == induced[j].values:
                 raise BlockExtError("induced characters are not distinct")
-    ctx.options["_irr_B"] = out
+    ctx.cache["irr_B"] = out
     return out
 
 
 def brauer_chars(ctx: BlockContext) -> list[ClassFunction]:
     """IBr(B) identified with Irr(E | phi)."""
-    cached = ctx.options.get("_ibr")
+    cached = ctx.cache.get("ibr")
     if cached is None:
         G = ctx.G
         cached = irr_over_phi(G.E, G.z_gen, len(G.Z), ctx.phi_exponent)
-        ctx.options["_ibr"] = cached
+        ctx.cache["ibr"] = cached
     return cached
 
 

@@ -10,13 +10,9 @@ be set through BLOCKEXT_* environment variables; explicit flags win.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -30,7 +26,7 @@ from .errors import (BlockExtError, CrossCheckMismatch,
 from .extengine import (block_ring, ext1_modp, ext_abelian_closed,
                         ext_abelian_oracle, ext_block, ext_shape_classify)
 from .groups import LinearChar
-from .omodule import OModuleClass, verify_cyclotomic_identity
+from .omodule import verify_cyclotomic_identity
 from .results import (block_char_obj, class_function_obj, document,
                       ext_class_obj, render)
 from .specfile import load_spec, to_context
@@ -66,15 +62,6 @@ def _mode(args) -> str:
     return "crosscheck"
 
 
-def _jobs(args) -> int:
-    n = args.jobs if args.jobs is not None else _env("JOBS")
-    return max(1, n or 1)
-
-
-def _cache_dir(args):
-    return args.cache_dir or os.environ.get(ENV_PREFIX + "CACHE_DIR")
-
-
 def _load(args, path=None):
     spec = load_spec(path or args.spec)
     return spec, to_context(spec, _overrides(args))
@@ -92,80 +79,6 @@ def _finish(args, kind, name, body, *, precision=None, started=None) -> None:
     timing = (time.monotonic() - started) if (args.timing and started) else None
     _emit(args, document(kind, name, body, version=__version__,
                          precision=precision, timing=timing))
-
-
-# -- disk cache -----------------------------------------------------------
-
-def _spec_hash(spec_path) -> str:
-    text = Path(spec_path).read_text(encoding="utf-8")
-    return hashlib.sha256((text + __version__).encode()).hexdigest()[:16]
-
-
-def _cache_file(args):
-    cdir = _cache_dir(args)
-    if not cdir:
-        return None
-    Path(cdir).mkdir(parents=True, exist_ok=True)
-    return Path(cdir) / (_spec_hash(args.spec) + ".json")
-
-
-def _cache_load(args, ctx, irr, mode):
-    """Seed the in-memory Ext memo from disk; purely an optimization."""
-    path = _cache_file(args)
-    if path is None or not path.exists():
-        return
-    try:
-        stored = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return
-    R = block_ring(ctx)
-    memo = ctx.options.setdefault("_ext_cache", {})
-    for skey, val in stored.items():
-        try:
-            i1, i2, deg, kmode, via, prec = skey.split(":")
-            i1, i2, deg, via, prec = int(i1), int(i2), int(deg), int(via), \
-                int(prec)
-            if prec != R.N or i1 >= len(irr) or i2 >= len(irr):
-                continue
-            cls = OModuleClass(ctx.G.D.p, val[0],
-                               tuple(Fraction(n, d) for n, d in val[1]))
-        except (ValueError, IndexError, TypeError):
-            continue
-        memo[(irr[i1].key(), irr[i2].key(), deg, kmode, via, R.key())] = cls
-
-
-def _cache_save(args, ctx, irr):
-    path = _cache_file(args)
-    if path is None:
-        return
-    R = block_ring(ctx)
-    index = {c.key(): i for i, c in enumerate(irr)}
-    out = {}
-    for key, cls in ctx.options.get("_ext_cache", {}).items():
-        k1, k2, deg, kmode, via, rkey = key
-        if rkey != R.key() or k1 not in index or k2 not in index:
-            continue
-        skey = f"{index[k1]}:{index[k2]}:{deg}:{kmode}:{via}:{R.N}"
-        out[skey] = [cls.free_rank,
-                     [[v.numerator, v.denominator] for v in cls.torsion]]
-    path.write_text(json.dumps(out, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
-
-
-def _prewarm(ctx, irr, pairs, degree, mode, jobs):
-    """Fill the Ext memo with a worker pool; the memo is idempotent, so
-    losing a race only costs a recomputation."""
-    if jobs <= 1:
-        return
-
-    def one(pair):
-        a, b = pair
-        try:
-            ext_block(ctx, irr[a], irr[b], degree, mode)
-        except BlockExtError:
-            pass    # surfaced by the sequential pass that follows
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        list(pool.map(one, pairs))
 
 
 # -- commands -------------------------------------------------------------
@@ -222,9 +135,7 @@ def cmd_ext(args) -> int:
                 "bad-spec-file",
                 f"character index {idx} out of range 0..{len(irr) - 1}")
     mode = _mode(args)
-    _cache_load(args, ctx, irr, mode)
     e = ext_block(ctx, irr[args.c1], irr[args.c2], args.degree, mode)
-    _cache_save(args, ctx, irr)
     body = {"c1": args.c1, "c2": args.c2, "degree": args.degree,
             "mode": mode,
             "ext": ext_class_obj(e),
@@ -237,15 +148,10 @@ def cmd_ext(args) -> int:
 def cmd_goodsets(args) -> int:
     started = time.monotonic()
     spec, ctx = _load(args)
-    irr = build_irr_B(ctx)
     mode = _mode(args)
-    _cache_load(args, ctx, irr, mode)
-    pairs = [(a, b) for a in range(len(irr)) for b in range(len(irr))]
-    _prewarm(ctx, irr, pairs, 2, mode, _jobs(args))
     enumerated = enumerate_good_sets(ctx, mode)
     predicted = predicted_good_sets(ctx)
     agree = {c.key() for c in enumerated} == {c.key() for c in predicted}
-    _cache_save(args, ctx, irr)
     body = {"enumerated": [c.describe() for c in enumerated],
             "predicted": [c.describe() for c in predicted],
             "enumerated_count": len(enumerated),
@@ -288,12 +194,11 @@ def _verify_pure(ctx, checks, mode):
     _check(checks, "closed_vs_oracle", sweep)
 
 
-def _verify_block(ctx, checks, mode, jobs):
+def _verify_block(ctx, checks, mode):
     irr = build_irr_B(ctx)
     pairs = [(a, b) for a in range(len(irr)) for b in range(len(irr))]
 
     def sweep():
-        _prewarm(ctx, irr, pairs, 2, mode, jobs)
         for a, b in pairs:
             ext_block(ctx, irr[a], irr[b], 2, mode)
         return f"{len(pairs)} ordered pairs at degree 2 ({mode})"
@@ -336,7 +241,7 @@ def _verify_block(ctx, checks, mode, jobs):
     _check(checks, "forcing", forcing)
 
 
-def _verify_one(args, path, mode, jobs) -> dict:
+def _verify_one(args, path, mode) -> dict:
     checks = []
     name = Path(path).stem
     try:
@@ -367,7 +272,7 @@ def _verify_one(args, path, mode, jobs) -> dict:
     if ctx.G.E.n == 1:
         _verify_pure(ctx, checks, mode)
     else:
-        _verify_block(ctx, checks, mode, jobs)
+        _verify_block(ctx, checks, mode)
 
     def cyclo():
         p = ctx.G.D.p
@@ -394,8 +299,8 @@ def cmd_verify(args) -> int:
                 "bad-spec-file", f"no .blockspec files in {target}")
     else:
         paths = [target]
-    mode, jobs = _mode(args), _jobs(args)
-    reports = [_verify_one(args, p, mode, jobs) for p in paths]
+    mode = _mode(args)
+    reports = [_verify_one(args, p, mode) for p in paths]
     ok = all(r["passed"] for r in reports)
     name = target.stem if len(paths) == 1 else target.name
     _finish(args, "verify", name,
@@ -417,12 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="cap on bar complex size")
     shared.add_argument("--mode", choices=("closed", "oracle", "crosscheck"),
                         default=None, help="Ext engine (default crosscheck)")
-    shared.add_argument("--jobs", type=int, default=None,
-                        help="worker threads for pair sweeps")
     shared.add_argument("--timing", action="store_true",
                         help="include wall-clock timing in the output")
-    shared.add_argument("--cache-dir", default=None,
-                        help="directory for the on-disk Ext cache")
     shared.add_argument("--output", default=None,
                         help="write the result document to a file")
 

@@ -23,6 +23,7 @@ oracle on the D1-element list) and an abelian D2-side profile.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -170,9 +171,7 @@ def _fixed_bar_complex(ring, G, elems, M1: ModuleRep, M2: ModuleRep,
 
 
 def ext_oracle(G, M1: ModuleRep, M2: ModuleRep, i: int, R: ChainRing, *,
-               elems=None, size_guard: int | None = None,
-               threshold: int | None = None,
-               reverify: bool = True) -> OModuleClass:
+               elems=None, size_guard: int | None = None) -> OModuleClass:
     """Ext^i over O(D x| F) by bar resolution, F = the modules' group.
 
     The class is recomputed at precision N+2 and must agree.  ``elems``
@@ -202,8 +201,7 @@ def ext_oracle(G, M1: ModuleRep, M2: ModuleRep, i: int, R: ChainRing, *,
             A, B = M1.builder(ring2), M2.builder(ring2)
         return _fixed_bar_complex(ring2, G, elems, A, B, top)
 
-    return homology_class(builder, i, threshold=threshold, acyclic=True,
-                          reverify=reverify)
+    return homology_class(builder, i, acyclic=True)
 
 
 def _profile(G, M1, M2, degrees, R, *, elems=None, size_guard=None):
@@ -264,20 +262,15 @@ def ext_abelian_closed(D: AbelianPGroup, lam1: LinearChar, lam2: LinearChar,
     return OModuleClass(p, 0, (w,) * (D.t - 1))
 
 
-_PURE_CTX: dict = {}
-_ABELIAN_MEMO: dict = {}
-
-
-def abelian_context(p: int, orders: list[int]) -> BlockContext:
-    """A block context with trivial E, for plain abelian Ext."""
-    key = (p, tuple(orders))
-    if key not in _PURE_CTX:
-        t = len(orders)
-        ident = tuple(tuple(1 if a == b else 0 for b in range(t))
-                      for a in range(t))
-        G = validate_block_spec(p, list(orders), [((0,), ident)])
-        _PURE_CTX[key] = BlockContext(G, 0, {})
-    return _PURE_CTX[key]
+@cache
+def abelian_context(p: int, orders: tuple[int, ...]) -> BlockContext:
+    """The block context with trivial E for plain abelian Ext, one per
+    (p, orders); its cache memoizes ext_abelian_oracle."""
+    t = len(orders)
+    ident = tuple(tuple(1 if a == b else 0 for b in range(t))
+                  for a in range(t))
+    G = validate_block_spec(p, list(orders), [((0,), ident)])
+    return BlockContext(G, 0)
 
 
 def rank1_rep(ctx: BlockContext, lam: LinearChar, ring: ChainRing) -> ModuleRep:
@@ -291,19 +284,20 @@ def rank1_rep(ctx: BlockContext, lam: LinearChar, ring: ChainRing) -> ModuleRep:
 def ext_abelian_oracle(D: AbelianPGroup, lam1: LinearChar, lam2: LinearChar,
                        i: int, *, precision: int | None = None) -> OModuleClass:
     """Oracle Ext over D alone; memoized on the character quotient."""
-    ctx = abelian_context(D.p, D.orders)
+    ctx = abelian_context(D.p, tuple(D.orders))
     Dc = ctx.G.D
     mu = lam1.inverse().mul(lam2)
     N = precision or default_precision(max(D.orders, default=0))
-    key = (D.p, tuple(D.orders), mu.vec, i, N)
-    if key in _ABELIAN_MEMO:
-        return _ABELIAN_MEMO[key]
+    key = ("abelian", mu.vec, i, N)
+    out = ctx.cache.get(key)
+    if out is not None:
+        return out
     R = chain_ring(D.p, N, max(D.orders, default=0), 1)
     triv = LinearChar(Dc, (0,) * Dc.t)
     m = LinearChar(Dc, mu.vec)
     out = ext_oracle(ctx.G, rank1_rep(ctx, triv, R), rank1_rep(ctx, m, R),
                      i, R)
-    _ABELIAN_MEMO[key] = out
+    ctx.cache[key] = out
     return out
 
 
@@ -357,15 +351,10 @@ def _closed_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
 
     M1, M2 = m_full(c1)(R), m_full(c2)(R)
     left = _profile(G, M1, M2, [0, 1, 2], R, elems=d1, size_guard=guard)
-    # Tor_1(left[3], right[0]) vanishes because right[0] is free or zero,
-    # so a zero placeholder at degree 3 is exact
-    lprof = [left[0], left[1], left[2], OModuleClass(G.D.p, 0, ())]
 
     # the D2 factor sees only lam restricted to d2_elements; a trivial
     # subgroup of E keeps the ambient action plumbing intact
-    if "_triv_sub" not in ctx.options:
-        ctx.options["_triv_sub"] = G.E.subgroup([0])
-    tsub, tembed = ctx.options["_triv_sub"]
+    tsub, tembed = G.E.subgroup([0])
 
     def line(c):
         def make(ring):
@@ -374,11 +363,15 @@ def _closed_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
         return make
 
     r1, r2 = line(c1)(R), line(c2)(R)
-    right = _profile(G, r1, r2, [0, 1, 2, 3], R, elems=d2, size_guard=guard)
-    if right[0].torsion:
-        raise BlockExtError("H^0 of the D2 factor is not torsion-free")
-    rprof = [right[0], right[1], right[2], right[3]]
-    return kunneth_assemble(lprof, rprof, i)
+    right = _profile(G, r1, r2, [0, 1, 2], R, elems=d2, size_guard=guard)
+    # degree 3 enters only as Tor_1(left[3], right[0]) and
+    # Tor_1(left[0], right[3]), which vanish when both H^0 are
+    # torsion-free, so zero placeholders at degree 3 are exact
+    if left[0].torsion or right[0].torsion:
+        raise BlockExtError("H^0 of a Kunneth factor is not torsion-free")
+    zero = OModuleClass(G.D.p, 0, ())
+    return kunneth_assemble([left[0], left[1], left[2], zero],
+                            [right[0], right[1], right[2], zero], i)
 
 
 def ext_block(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
@@ -392,10 +385,10 @@ def ext_block(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
     if via not in (1, 2):
         raise BlockExtError("via selects which character to reduce: 1 or 2")
     R = ring or block_ring(ctx)
-    cache = ctx.options.setdefault("_ext_cache", {})
-    key = (c1.key(), c2.key(), i, mode, via, R.key())
-    if key in cache:
-        return cache[key]
+    key = ("ext", c1.key(), c2.key(), i, mode, via, R.key())
+    out = ctx.cache.get(key)
+    if out is not None:
+        return out
     if mode == "closed":
         out = _closed_class(ctx, c1, c2, i, R)
     elif mode == "oracle":
@@ -410,7 +403,7 @@ def ext_block(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
             err.oracle = b
             raise err
         out = a
-    cache[key] = out
+    ctx.cache[key] = out
     return out
 
 

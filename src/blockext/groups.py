@@ -9,8 +9,11 @@ design and guarded by an order bound.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, lcm
+from types import MappingProxyType
 
 import sympy
 
@@ -140,10 +143,6 @@ class LinearChar:
     def is_trivial_on(self, elements) -> bool:
         return all(self.value_exponent(x) == 0 for x in elements)
 
-    def restrict_eq(self, other: "LinearChar", elements) -> bool:
-        return all(self.value_exponent(x) == other.value_exponent(x)
-                   for x in elements)
-
     def __repr__(self):
         return f"LinearChar{self.vec}"
 
@@ -169,7 +168,6 @@ class FiniteGroup:
                     break
         self.order_of = [self._elt_order(i) for i in range(self.n)]
         self.exponent = lcm(*self.order_of) if self.n > 1 else 1
-        self._classes = None
 
     def _elt_order(self, i) -> int:
         o, x = 1, i
@@ -185,42 +183,36 @@ class FiniteGroup:
             out = self.table[out][i]
         return out
 
-    @property
+    @cached_property
     def classes(self) -> list[list[int]]:
-        if self._classes is None:
-            seen = [False] * self.n
-            classes = []
-            for i in range(self.n):
-                if seen[i]:
-                    continue
-                orbit = {i}
-                queue = [i]
-                while queue:
-                    x = queue.pop()
-                    for g in range(self.n):
-                        y = self.table[self.table[g][x]][self.inverse[g]]
-                        if y not in orbit:
-                            orbit.add(y)
-                            queue.append(y)
-                cls = sorted(orbit)
-                for x in cls:
-                    seen[x] = True
-                classes.append(cls)
-            classes.sort(key=lambda c: c[0])
-            self._classes = classes
-        return self._classes
+        seen = [False] * self.n
+        classes = []
+        for i in range(self.n):
+            if seen[i]:
+                continue
+            orbit = {i}
+            queue = [i]
+            while queue:
+                x = queue.pop()
+                for g in range(self.n):
+                    y = self.table[self.table[g][x]][self.inverse[g]]
+                    if y not in orbit:
+                        orbit.add(y)
+                        queue.append(y)
+            cls = sorted(orbit)
+            for x in cls:
+                seen[x] = True
+            classes.append(cls)
+        classes.sort(key=lambda c: c[0])
+        return classes
 
-    @property
+    @cached_property
     def class_of(self) -> list[int]:
         co = [0] * self.n
         for k, cls in enumerate(self.classes):
             for x in cls:
                 co[x] = k
         return co
-
-    def is_abelian(self) -> bool:
-        return all(self.table[i][j] == self.table[j][i]
-                   for i in range(self.n) for j in range(i))
 
     def subgroup(self, indices: list[int]) -> tuple["FiniteGroup", list[int]]:
         """Subgroup on the given closed element set; returns (group, embed)."""
@@ -231,39 +223,6 @@ class FiniteGroup:
         gens = [pos[g] for g in embed if g != 0]
         sub = FiniteGroup([self.perms[g] for g in embed], table, gens)
         return sub, embed
-
-    def closure(self, seed: list[int]) -> list[int]:
-        out = {0}
-        queue = list(seed)
-        out.update(seed)
-        while queue:
-            x = queue.pop()
-            for g in list(out):
-                for y in (self.table[x][g], self.table[g][x]):
-                    if y not in out:
-                        out.add(y)
-                        queue.append(y)
-        return sorted(out)
-
-    def double_cosets(self, H: list[int], K: list[int]) -> list[int]:
-        """Representatives of H\\G/K, least element index per coset."""
-        for S in (H, K):
-            sset = set(S)
-            if 0 not in sset or any(self.table[a][b] not in sset
-                                    for a in S for b in S):
-                raise SpecValidationError(
-                    "bad-spec-file", "double coset factor is not a subgroup")
-        covered = [False] * self.n
-        reps = []
-        for g in range(self.n):
-            if covered[g]:
-                continue
-            reps.append(g)
-            for h in H:
-                hg = self.table[h][g]
-                for k in K:
-                    covered[self.table[hg][k]] = True
-        return reps
 
     def __repr__(self):
         return f"FiniteGroup(order={self.n})"
@@ -440,9 +399,6 @@ class SemidirectGroup:
                            "stabilizer": stab})
         return orbits
 
-    def double_cosets(self, H: list[int], K: list[int]) -> list[int]:
-        return self.E.double_cosets(H, K)
-
 
 def validate_block_spec(p: int, orders: list[int],
                         generators: list[tuple[tuple, list[list[int]]]],
@@ -498,13 +454,22 @@ def validate_block_spec(p: int, orders: list[int],
 
 @dataclass
 class BlockContext:
-    """A validated block B = O(D x| E) e_phi plus its working options."""
+    """A validated block B = O(D x| E) e_phi plus its working options.
+
+    options are the user's settings, held read-only.  cache holds what is
+    derived once per block and reused: Irr(B) under "irr_B", IBr(B) under
+    "ibr", and Ext classes under tuple keys tagged "ext" (block pairs) or
+    "abelian" (the pure contexts of ext_abelian_oracle).
+    """
 
     G: SemidirectGroup
     phi_exponent: int
-    options: dict = field(default_factory=dict)
+    options: Mapping = field(default_factory=dict)
+    cache: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     def __post_init__(self):
+        self.options = MappingProxyType(dict(self.options))
         zorder = len(self.G.Z)
         if zorder > 1 and gcd(self.phi_exponent, zorder) != 1:
             raise SpecValidationError(

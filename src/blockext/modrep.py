@@ -20,10 +20,6 @@ from .errors import BlockExtError, IdempotentNotSplit
 from .groups import BlockContext, FiniteGroup, LinearChar, SemidirectGroup
 
 
-def _transpose(A):
-    return tuple(tuple(row[j] for row in A) for j in range(len(A[0])))
-
-
 class ModuleRep:
     """A G = D x| F module: diagonal D-characters plus F-matrices."""
 
@@ -69,14 +65,6 @@ class ModuleRep:
                     raise BlockExtError(
                         "module violates the semidirect relation")
         return True
-
-    def dual(self) -> "ModuleRep":
-        """Contragredient: inverse-transpose matrices, inverted characters."""
-        emats = [_transpose(self.emats[self.F.inverse[f]])
-                 for f in range(self.F.n)]
-        return ModuleRep(self.ring, self.F, self.embed,
-                         [lam.inverse() for lam in self.dchars], emats,
-                         f"dual({self.provenance})")
 
     def tensor(self, other: "ModuleRep") -> "ModuleRep":
         assert self.F is other.F and self.ring is other.ring

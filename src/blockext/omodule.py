@@ -15,27 +15,11 @@ summands.  That data is what the Ext machinery produces and consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
 
 from .cyclotomic import CycloNumber, zeta
-
-
-@dataclass(frozen=True, order=True)
-class Valuation:
-    """A value of the normalized valuation on O, v(p) = 1."""
-
-    value: Fraction
-    p: int
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("valuations of ring elements are nonnegative")
-
-    def __str__(self) -> str:
-        return str(self.value)
 
 
 def val_one_minus_zeta(p: int, n: int) -> Fraction:
@@ -99,9 +83,6 @@ class OModuleClass:
 
     def __add__(self, other: "OModuleClass") -> "OModuleClass":
         return self.direct_sum(other)
-
-    def torsion_valuations(self) -> tuple[Valuation, ...]:
-        return tuple(Valuation(v, self.p) for v in self.torsion)
 
     def residue_dim(self) -> int:
         """dim_k of k tensor the module, k the residue field of O."""

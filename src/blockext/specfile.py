@@ -66,7 +66,7 @@ def _ints(lineno, text, what):
 def parse_spec(text: str) -> BlockSpec:
     top: dict = {}
     generators: list = []
-    options: dict = {}
+    opts: dict = {}
     section = "top"
     current_gen = None
     gen_names = set()
@@ -139,9 +139,9 @@ def parse_spec(text: str) -> BlockSpec:
         else:
             if key not in OPTION_KEYS:
                 _fail(lineno, f"unknown option {key!r}")
-            if key in options:
+            if key in opts:
                 _fail(lineno, f"duplicate option {key!r}")
-            options[key] = _ints(lineno, value, key)[0]
+            opts[key] = _ints(lineno, value, key)[0]
 
     close_gen("end")
     for need in ("format", "name", "p", "d_orders"):
@@ -152,7 +152,7 @@ def parse_spec(text: str) -> BlockSpec:
         raise SpecValidationError("bad-spec-file",
                                   "at least one generator is required")
     return BlockSpec(top["name"], top["p"], top["d_orders"],
-                     tuple(generators), tuple(sorted(options.items())))
+                     tuple(generators), tuple(sorted(opts.items())))
 
 
 def serialize_spec(spec: BlockSpec) -> str:
@@ -185,7 +185,8 @@ def load_spec(path) -> BlockSpec:
 
 def to_context(spec: BlockSpec, overrides: dict | None = None) -> BlockContext:
     """Validate and build the block context, options resolved in order
-    override > spec file > default."""
+    override > spec file > default.  The context keeps the set ones among
+    precision, enum_bound and size_guard, read-only."""
     overrides = overrides or {}
 
     def pick(key, default=None):
@@ -198,9 +199,6 @@ def to_context(spec: BlockSpec, overrides: dict | None = None) -> BlockContext:
     order_bound = pick("order_bound", 512)
     G = validate_block_spec(spec.p, list(spec.d_orders), gens,
                             order_bound=order_bound)
-    options = {}
-    for key in ("precision", "enum_bound", "size_guard"):
-        val = pick(key)
-        if val is not None:
-            options[key] = val
-    return BlockContext(G, pick("phi_exponent", 1), options)
+    keys = ("precision", "enum_bound", "size_guard")
+    return BlockContext(G, pick("phi_exponent", 1),
+                        {k: pick(k) for k in keys if pick(k) is not None})

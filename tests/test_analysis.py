@@ -1,11 +1,10 @@
-"""Good-set machinery, stable characters, forcing, quiver connectivity."""
+"""Good-set machinery, forcing, quiver connectivity."""
 
 import pytest
 
 from blockext.analysis import (CandidateSet, check_conjugacy_forcing,
-                               check_stable_chars, enumerate_good_sets,
-                               ext_quiver, is_good, predicted_good_sets,
-                               verify_classification)
+                               enumerate_good_sets, ext_quiver, is_good,
+                               predicted_good_sets, verify_classification)
 from blockext.chars import build_irr_B
 from blockext.errors import BlockExtError, EnumerationBoundExceeded
 from blockext.extengine import abelian_context
@@ -62,18 +61,6 @@ def test_example_c_good_pairs_have_valuation_two(example_c):
             assert t.denominator == 1 and t >= 2
 
 
-def test_stable_chars(example_a, example_b, example_c):
-    assert check_stable_chars(example_a)
-    assert check_stable_chars(example_b)
-    assert check_stable_chars(example_c)
-
-
-def test_stable_chars_negative_control(example_b):
-    # E acts trivially on D_2, so a nontrivial override must fail
-    assert not check_stable_chars(example_b,
-                                  d1_override=example_b.G.d2_elements)
-
-
 def test_conjugacy_forcing_example_a(example_a):
     report = check_conjugacy_forcing(example_a)
     assert report["pairs"] == 9
@@ -96,7 +83,7 @@ def test_enumeration_bound(example_b):
 
 def test_assumption_gate():
     # p = 2 with a C_2 direct factor: construction fine, analysis refuses
-    ctx = abelian_context(2, [1, 2])
+    ctx = abelian_context(2, (1, 2))
     assert not ctx.G.D.assumption_ok
     with pytest.raises(BlockExtError, match="C_2"):
         enumerate_good_sets(ctx)

@@ -4,16 +4,16 @@ and the dense Smith elimination against a plain scalar one."""
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockext.chainlinalg import (
     ChainComplex,
-    ChainMatrix,
     _smith_exponents,
+    _sparse,
     homology_class,
     homology_of_complex,
-    snf_chain_ring,
 )
 from blockext.chainring import ChainRing, chain_ring
 from blockext.errors import BlockExtError, PrecisionUnstable
@@ -109,17 +109,24 @@ def test_homology_class_and_reverify():
         homology_class(bad_builder, 0)
 
 
+def array(R, rows):
+    """The element array of a matrix given as rows of element tuples."""
+    return np.array(rows, dtype=R.dtype).reshape(len(rows), len(rows[0]),
+                                                 R.dim)
+
+
 def test_snf_chain_ring():
-    R = chain_ring(3, 6, 0, 1)  # plain Z/3^6, e = 1, threshold 3
-    M = ChainMatrix(R, [[R.from_int(1), R.from_int(1)],
-                        [R.from_int(-1), R.from_int(2)]])
-    assert snf_chain_ring(M) == [0, 1]  # det = 3
-    M = ChainMatrix(R, [[R.from_int(1), R.from_int(1)],
-                        [R.from_int(1), R.from_int(1)]])
-    assert snf_chain_ring(M) == [0, R.cap]
-    M = ChainMatrix(R, [[R.from_int(9), R.zero],
-                        [R.zero, R.from_int(3)]])
-    assert snf_chain_ring(M) == [1, 2]
+    R = chain_ring(3, 6, 0, 1)  # plain Z/3^6, e = 1
+    half = (R.cap + 1) // 2  # the threshold homology uses
+    M = array(R, [[R.from_int(1), R.from_int(1)],
+                  [R.from_int(-1), R.from_int(2)]])
+    assert _smith_exponents(R, M, half) == [0, 1]  # det = 3
+    M = array(R, [[R.from_int(1), R.from_int(1)],
+                  [R.from_int(1), R.from_int(1)]])
+    assert _smith_exponents(R, M, half) == [0]  # rank 1
+    M = array(R, [[R.from_int(9), R.zero],
+                  [R.zero, R.from_int(3)]])
+    assert _smith_exponents(R, M, half) == [1, 2]
 
 
 def test_verify_catches_broken_complex():
@@ -132,13 +139,11 @@ def test_verify_catches_broken_complex():
 
 def test_chain_matrix_mul():
     R = chain_ring(3, 3, 0, 1)
-    A = ChainMatrix(R, [[R.from_int(1), R.from_int(2)]])
-    B = ChainMatrix(R, [[R.from_int(3)], [R.from_int(4)]])
-    C = A.mul(B)
-    assert C.rows[0][0] == R.from_int(11)
-    assert ChainMatrix.zeros(R, 2, 2).is_zero()
-    assert ChainMatrix.identity(R, 2).to_entries() == {
-        (0, 0): R.one, (1, 1): R.one}
+    A = array(R, [[R.from_int(1), R.from_int(2)]])
+    B = array(R, [[R.from_int(3)], [R.from_int(4)]])
+    assert tuple(R.matmul(A, B)[0, 0]) == R.from_int(11)
+    eye = array(R, [[R.one, R.zero], [R.zero, R.one]])
+    assert _sparse(eye) == {(0, 0): R.one, (1, 1): R.one}
 
 
 # -- the dense Smith routine against a scalar reference --------------------
@@ -217,8 +222,7 @@ def test_smith_matches_reference(shape):
               database=None)
     @given(rows=ring_matrices(R), threshold=st.integers(0, R.cap + 2))
     def check(rows, threshold):
-        mat = ChainMatrix(R, rows)
-        got = _smith_exponents(R, mat.array(), threshold)
+        got = _smith_exponents(R, array(R, rows), threshold)
         assert got == reference_exponents(R, rows, threshold)
 
     check()
@@ -231,24 +235,25 @@ def test_smith_past_int64_bound_uses_objects():
     diag = [[R.from_int(3 ** 5), R.zero, R.zero],
             [R.zero, R.from_int(3 ** 39), R.zero],
             [R.zero, R.zero, R.one]]
-    U = ChainMatrix(R, [[R.from_int(c) for c in row]
-                        for row in ((1, 2, 0), (0, 1, -7), (4, 9, -27))])
-    W = ChainMatrix(R, [[R.from_int(c) for c in row]
-                        for row in ((1, 0, 5), (3, 1, 0), (-2, 11, 1))])
-    M = U.mul(ChainMatrix(R, diag)).mul(W)
-    A = M.array()
+    U = array(R, [[R.from_int(c) for c in row]
+                  for row in ((1, 2, 0), (0, 1, -7), (4, 9, -27))])
+    W = array(R, [[R.from_int(c) for c in row]
+                  for row in ((1, 0, 5), (3, 1, 0), (-2, 11, 1))])
+    A = R.matmul(R.matmul(U, array(R, diag)), W)
     assert A.dtype == object
+    rows = [[tuple(v) for v in row] for row in A.tolist()]
+    assert reference_exponents(R, rows, R.cap) == [0, 5, 39]
+    # threshold cap / 2 = 20 leaves 3^39 out
+    assert _smith_exponents(R, A.copy(), (R.cap + 1) // 2) == [0, 5]
     assert _smith_exponents(R, A, R.cap) == [0, 5, 39]
-    assert reference_exponents(R, M.rows, R.cap) == [0, 5, 39]
-    assert snf_chain_ring(M) == [0, 5, R.cap]  # threshold cap / 2 = 20
 
 
 def test_smith_residue_names_ring():
     R = ChainRing(3, 4, 0, 1)  # a private instance: its inverse is broken
     R.inv = lambda u: R.from_int(2)
-    M = ChainMatrix(R, [[R.one], [R.one]])
+    M = array(R, [[R.one], [R.one]])
     with pytest.raises(BlockExtError, match="residue") as err:
-        snf_chain_ring(M)
+        _smith_exponents(R, M, R.cap)
     assert str(R.key()) in str(err.value)
     assert "2x1 matrix" in str(err.value) and "pivot (0, 0)" in str(err.value)
 

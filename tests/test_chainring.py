@@ -121,9 +121,6 @@ def test_residue_and_precision_maps():
     assert (k.p, k.N, k.a, k.mprime) == (3, 1, 0, 4)
     assert R.to_residue(R.z_elt) == k.zero
     assert R.to_residue(R.x_elt) == k.x_elt
-    S = chain_ring(3, 6, 1, 4)
-    u = S.mul(S.x_elt, S.add(S.one, S.z_elt))
-    assert R.reduce_from(S, u) == R.mul(R.x_elt, R.add(R.one, R.z_elt))
 
 
 def test_mult_tensor_matches_mul():

@@ -16,7 +16,6 @@ from blockext.chars import (
     induced_block_char,
     irr_over_phi,
     lifts_of,
-    mackey_restrict_induced,
     reduce_to_brauer,
     restrict,
 )
@@ -125,7 +124,7 @@ class TestInduction:
     def test_induced_block_char_irreducible(self, example_a):
         irrB = build_irr_B(example_a)
         big = next(c for c in irrB if c.degree == 2)
-        ind = induced_block_char(example_a.G, big)
+        ind = induced_block_char(full_group(example_a.G), big)
         assert ind.inner_product(ind) == 1
 
     def test_frobenius_reciprocity(self, example_a):
@@ -133,56 +132,12 @@ class TestInduction:
         FG = full_group(G)
         irrB = build_irr_B(example_a)
         big = next(c for c in irrB if c.degree == 2)
-        H, embed, cf = block_char_on_subgroup(G, big)
+        H, embed, cf = block_char_on_subgroup(FG, big)
         for other in irrB:
-            eta = induced_block_char(G, other)
+            eta = induced_block_char(FG, other)
             lhs = induce(FG, embed, cf).inner_product(eta)
             rhs = cf.inner_product(restrict(FG, eta, H, embed))
             assert lhs == rhs
-
-
-class TestMackey:
-    def test_h_equals_g(self, example_a):
-        FG = full_group(example_a.G)
-        embed = list(range(FG.n))
-        chi = induced_block_char(example_a.G, build_irr_B(example_a)[0])
-        pieces = mackey_restrict_induced(FG, FG, embed, FG, embed, chi)
-        assert len(pieces) == 1 and pieces[0][1].values == chi.values
-
-    def test_example_a_d_z_pieces(self, example_a):
-        G = example_a.G
-        FG = full_group(G)
-        zset = set(G.Z)
-        idx = [i for i, (d, e) in enumerate(FG.perms) if e in zset]
-        H, embed = FG.subgroup(idx)
-        # chi = (lambda, phi) on D x Z, lambda faithful on D = C_3
-        vals = []
-        for cls in H.classes:
-            d, e = H.perms[cls[0]]
-            vals.append(zeta(3, d[0]) * zeta(2, 0 if e == 0 else 1))
-        chi = ClassFunction(H, vals)
-        pieces = mackey_restrict_induced(FG, H, embed, H, embed, chi)
-        assert len(pieces) == 2
-        carried = set()
-        for _, piece in pieces:
-            assert piece.degree() == 1
-            # read off which power of lambda carries the piece
-            x = next(i for i, (d, e) in enumerate(H.perms)
-                     if d == (1,) and e == 0)
-            carried.add(piece((x)))
-        assert carried == {zeta(3), zeta(3) ** 2}
-
-    def test_trivial_k(self, example_a):
-        FG = full_group(example_a.G)
-        zset = set(example_a.G.Z)
-        idx = [i for i, (d, e) in enumerate(FG.perms) if e in zset]
-        H, embedH = FG.subgroup(idx)
-        K, embedK = FG.subgroup([0])
-        pieces = mackey_restrict_induced(
-            FG, H, embedH, K, embedK, ClassFunction(K, [zeta(1)]))
-        assert len(pieces) == FG.n // H.n
-        for _, piece in pieces:
-            assert piece.values[0].as_int() == H.n
 
 
 class TestBrauer:

@@ -23,7 +23,7 @@ def all_chars(D):
 # -- closed formulas ------------------------------------------------------
 
 def test_closed_equal_characters():
-    D = abelian_context(3, [2, 1]).G.D
+    D = abelian_context(3, (2, 1)).G.D
     lam = LinearChar(D, (4, 1))
     assert ext_abelian_closed(D, lam, lam, 0) == OModuleClass(3, 1)
     assert ext_abelian_closed(D, lam, lam, 1) == OModuleClass(3, 0)
@@ -32,7 +32,7 @@ def test_closed_equal_characters():
 
 
 def test_closed_distinct_characters():
-    D = abelian_context(3, [2, 1]).G.D
+    D = abelian_context(3, (2, 1)).G.D
     l1 = LinearChar(D, (0, 0))
     l2 = LinearChar(D, (3, 0))      # quotient has order 3
     w = val_one_minus_zeta(3, 1)
@@ -42,13 +42,13 @@ def test_closed_distinct_characters():
 
 
 def test_closed_cyclic_distinct_ext2_vanishes():
-    D = abelian_context(3, [2]).G.D
+    D = abelian_context(3, (2,)).G.D
     l1, l2 = LinearChar(D, (0,)), LinearChar(D, (1,))
     assert ext_abelian_closed(D, l1, l2, 2) == OModuleClass(3, 0)
 
 
 def test_closed_rejects_high_degree():
-    D = abelian_context(3, [1]).G.D
+    D = abelian_context(3, (1,)).G.D
     lam = LinearChar(D, (0,))
     with pytest.raises(BlockExtError):
         ext_abelian_closed(D, lam, lam, 3)
@@ -56,7 +56,7 @@ def test_closed_rejects_high_degree():
 
 # -- oracle vs closed -----------------------------------------------------
 
-@pytest.mark.parametrize("p,orders", [(3, [2]), (3, [1, 1]), (2, [3])])
+@pytest.mark.parametrize("p,orders", [(3, (2,)), (3, (1, 1)), (2, (3,))])
 def test_oracle_matches_closed(p, orders):
     D = abelian_context(p, orders).G.D
     for l1 in all_chars(D):
@@ -68,18 +68,19 @@ def test_oracle_matches_closed(p, orders):
 
 
 def test_oracle_memoizes_on_character_quotient():
-    from blockext.extengine import _ABELIAN_MEMO
-    D = abelian_context(3, [2]).G.D
+    ctx = abelian_context(3, (2,))
+    D = ctx.G.D
     l1, l2 = LinearChar(D, (1,)), LinearChar(D, (2,))
-    before = len(_ABELIAN_MEMO)
+    before = set(ctx.cache)
     ext_abelian_oracle(D, l1, l2, 1)
     ext_abelian_oracle(D, LinearChar(D, (2,)), LinearChar(D, (3,)), 1)
-    # both pairs share the quotient character, one memo entry
-    assert len(_ABELIAN_MEMO) <= before + 1
+    # both pairs share the quotient character mu = (1,), one memo entry
+    assert set(ctx.cache) - before <= {("abelian", (1,), 1, 6)}
+    assert ("abelian", (1,), 1, 6) in ctx.cache
 
 
 def test_size_guard_trips():
-    ctx = abelian_context(3, [2])
+    ctx = abelian_context(3, (2,))
     D = ctx.G.D
     R = block_ring(ctx)
     triv = LinearChar(D, (0,))

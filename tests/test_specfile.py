@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from blockext.chars import build_irr_B
 from blockext.errors import SpecValidationError
+from blockext.extengine import ext_block
 from blockext.specfile import (BlockSpec, load_spec, parse_spec,
                                serialize_spec, to_context)
 
@@ -94,6 +96,17 @@ def test_override_beats_spec_option():
     ctx = to_context(parse_spec(GOOD), {"precision": 9, "size_guard": 77})
     assert ctx.options["precision"] == 9
     assert ctx.options["size_guard"] == 77
+
+
+def test_options_stay_the_users_and_read_only():
+    ctx = to_context(parse_spec(GOOD), {"size_guard": 100000})
+    irr = build_irr_B(ctx)
+    ext_block(ctx, irr[0], irr[1], 2)
+    # derived state goes to the cache, never into the options
+    assert ctx.options == {"precision": 4, "size_guard": 100000}
+    assert "irr_B" in ctx.cache
+    with pytest.raises(TypeError):
+        ctx.options["precision"] = 6
 
 
 def test_order_bound_enforced():
