@@ -31,7 +31,6 @@ from .omodule import (
 from .chainring import ChainRing, chain_ring
 from .chainlinalg import (
     ChainComplex,
-    homology_class,
     homology_of_complex,
 )
 from .groups import (

@@ -14,15 +14,38 @@ column j0 has val(b) >= v, so b = c b' with b' computed exactly
 With q = b' a'^-1 we get q a = b' c = b on the nose in the chain ring,
 so subtracting q times row i0 clears column j0 exactly, and no division
 ever rounds.  Column operations then clear row i0 without touching the
-other rows, so the row retires with invariant factor pi^v.  The
-computation therefore agrees with the exact one over O until an entry
-that is O-nonzero truncates to zero; such divergences only inject
-entries of valuation >= cap - V, where V bounds the honest invariant
-factors, and homology reads only exponents below cap/2, which keeps
-them classified as zero.  homology_class re-verifies by recomputing at
-precision N+2 and comparing classes.  A column entry left nonzero after
-its elimination contradicts q a = b and is raised as a bug, never
-ignored.
+other rows, so the row retires with invariant factor pi^v.  A column
+entry left nonzero after its elimination contradicts q a = b and is
+raised as a bug, never ignored.
+
+Why the truncated exponents are the exact ones: a certificate.  Let
+cap = N e, so O/p^N = O/pi^cap.
+
+  1. The elimination above is a sequence of invertible row and column
+     operations over the local principal ideal ring O/pi^cap, so it
+     finds the Smith form of the matrix there, and invariant factors
+     over a local PIR are unique.  Reducing the Smith form over O of any
+     lift of the matrix gives a Smith form over O/pi^cap, so the
+     exponents found are min(a_j, cap) for the O-exponents a_j.
+  2. The complexes are reductions of complexes over O.  The module and
+     fixed-basis constructions use ring operations, which commute with
+     reduction, and every choice they make reads residues mod pi only:
+     unit pivots and valuations == 0 tests (free_basis, the V_chi split).
+     The same formulas over O make the same choices and build an
+     O-complex whose reduction is the one at hand.
+  3. Over O the exponents are bounded.  For i >= 1, H^i(D, O_nu) is
+     killed by exp(D) = p^max(n_i): Kunneth over the cyclic factors of D
+     (Brown, Cohomology of Groups, III.10).  The oracle's coefficients
+     are sums of such O_nu, and the F-fixed points are a direct summand
+     (|F| is invertible), so every positive finite Smith exponent of a
+     differential, a torsion exponent of some H^i with i >= 1, is at most
+     bound = e max(n_i).
+
+Hence when bound < cap the truncated form is the O-form: the elimination
+pivots while the least valuation is <= bound, and what is left must be
+exactly zero.  A nonzero entry past the bound contradicts 1 to 3 and is
+raised as PrecisionUnstable; callers pass the bound (the oracle
+e max(n_i), a residue-field computation 0).
 
 Each pivot costs array work only on the rows with a nonzero entry in the
 pivot column and the columns with one in the pivot row: the quotients q
@@ -59,13 +82,10 @@ For the cohomology at position i, with d_in = d^{i-1} and d_out = d^i:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .chainring import BLOCK, ChainRing
 from .errors import BlockExtError, PrecisionUnstable
-from .omodule import OModuleClass
 
 
 def _dense(ring: ChainRing, entries: dict, nrows: int, ncols: int):
@@ -123,24 +143,27 @@ def free_basis(ring: ChainRing, vectors):
     return kept, L
 
 
-def _smith_exponents(ring: ChainRing, A, threshold) -> list[int]:
-    """Finite Smith exponents (pi-levels below threshold), ascending.
+def _smith_exponents(ring: ChainRing, A, bound: int) -> list[int]:
+    """Smith exponents of A, ascending, certified exact up to ``bound``.
 
     A is an element array of shape (rows, cols, dim), consumed.  Pivoting
-    is by global minimal valuation, first row then first column on ties;
-    once no entry falls below the threshold the remaining block is
-    truncation noise standing in for zero and the form is complete.
+    is by global minimal valuation, first row then first column on ties,
+    while the least valuation is <= bound; the block left must then be
+    zero, or PrecisionUnstable is raised (see the module docstring).
     """
     cap, pN = ring.cap, ring.pN
-    stop = min(threshold, cap)
     V = np.concatenate([ring.valuations(part) for part in
                         np.array_split(A, max(1, -(-A.size // BLOCK)))])
     exps = []
     while V.size:
         i0, j0 = divmod(int(V.argmin()), V.shape[1])
         v0 = int(V[i0, j0])
-        if v0 >= stop:
+        if v0 >= cap:
             break
+        if v0 > bound:
+            raise PrecisionUnstable(
+                f"Smith exponent {v0} past the certified bound {bound}: "
+                f"ring {ring.key()}, {A.shape[0]}x{A.shape[1]} matrix")
         rows = np.flatnonzero(V[:, j0] < cap)
         rows = rows[rows != i0]
         V[i0] = cap  # the pivot row retires
@@ -173,7 +196,7 @@ class ChainComplex:
 
     ranks[i] is the rank at position i; diffs[i] maps position i to i+1.
     Differentials come and go as sparse {(row, col): element} dicts with
-    row < ranks[i+1] and col < ranks[i]; a builder may hand in element
+    row < ranks[i+1] and col < ranks[i]; a caller may hand in element
     arrays of shape (ranks[i+1], ranks[i], dim) instead, stored in the
     narrowest dtype that holds pN - 1, which become dicts only when .diffs
     is read.  From then on the dicts are the record, so edits to them are
@@ -224,25 +247,25 @@ class ChainComplex:
         return True
 
 
-def homology_of_complex(cx: ChainComplex, i: int, *,
+def homology_of_complex(cx: ChainComplex, i: int, *, bound: int,
                         acyclic: bool = False) -> tuple[int, list[int]]:
     """(free rank, torsion pi-exponents desc) of H^i(cx).
 
-    With acyclic=True the caller asserts the complex is exact over the
-    fraction field in degrees >= 1 (true for group cohomology, by
-    cor o res = |G|); the outgoing differential is then not needed and the
-    top position i = len(diffs) becomes available.
+    ``bound`` caps every finite Smith exponent of the differentials (see
+    _smith_exponents).  With acyclic=True the caller asserts the complex
+    is exact over the fraction field in degrees >= 1 (true for group
+    cohomology, by cor o res = |G|); the outgoing differential is then
+    not needed and the top position i = len(diffs) becomes available.
     """
     ring = cx.ring
     top = len(cx.ranks) - 1
     if not 0 <= i <= top:
         raise ValueError(f"position {i} outside complex")
-    thr = (ring.cap + 1) // 2
     if i == 0:
         rank_in, torsion = 0, []
     else:
         in_exps = _smith_exponents(ring, cx.matrix(i - 1).astype(ring.dtype),
-                                   thr)
+                                   bound)
         rank_in = len(in_exps)
         torsion = sorted((a for a in in_exps if a > 0), reverse=True)
     if acyclic and i >= 1:
@@ -252,38 +275,11 @@ def homology_of_complex(cx: ChainComplex, i: int, *,
             rank_out = 0
         else:
             rank_out = len(_smith_exponents(
-                ring, cx.matrix(i).astype(ring.dtype), thr))
+                ring, cx.matrix(i).astype(ring.dtype), bound))
         free = cx.ranks[i] - rank_out - rank_in
         if free < 0:
             raise PrecisionUnstable(
-                f"negative free rank from truncated Smith forms at position "
-                f"{i} over ring {ring.key()}: rank {cx.ranks[i]}, "
-                f"{rank_in} pivots into it, {rank_out} out of it (ranks "
-                f"{cx.ranks}); increase the working precision")
+                f"negative free rank at position {i} over ring "
+                f"{ring.key()}: rank {cx.ranks[i]}, {rank_in} pivots into "
+                f"it, {rank_out} out of it (ranks {cx.ranks})")
     return free, torsion
-
-
-def homology_class(builder, i: int, *, acyclic: bool = False) -> OModuleClass:
-    """O-module class of H^i, re-verified at higher precision.
-
-    builder(extra) must return a ChainComplex over a ring with precision
-    N + extra; the classes at N and N + 2 must agree or the computation is
-    declared unstable.
-    """
-    cx = builder(0)
-    ring = cx.ring
-    free, tors = homology_of_complex(cx, i, acyclic=acyclic)
-    cls = OModuleClass(ring.p, free,
-                       tuple(Fraction(t, ring.e) for t in tors))
-    del cx  # one complex alive at a time
-    cx2 = builder(2)
-    if cx2.ring.N != ring.N + 2:
-        raise BlockExtError("reverify builder ignored the extra precision")
-    free2, tors2 = homology_of_complex(cx2, i, acyclic=acyclic)
-    cls2 = OModuleClass(cx2.ring.p, free2,
-                        tuple(Fraction(t, cx2.ring.e) for t in tors2))
-    if cls != cls2:
-        raise PrecisionUnstable(
-            f"homology class changed under precision increase: "
-            f"{cls.pretty()} vs {cls2.pretty()}")
-    return cls

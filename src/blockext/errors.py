@@ -35,7 +35,9 @@ class SizeGuardExceeded(BlockExtError):
 
 
 class PrecisionUnstable(BlockExtError):
-    """Homology classes computed at precisions N and N+2 disagree."""
+    """A Smith exponent breaks the exactness certificate: a nonzero entry
+    past the bound e*max(n_i), a precision N too low to certify that
+    bound, or ranks that cannot come from a complex."""
 
 
 class CrossCheckMismatch(BlockExtError):

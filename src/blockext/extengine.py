@@ -4,8 +4,9 @@ The oracle computes Ext^i over O(D x| F) through the normalized bar
 complex of D with coefficients in Hom(M1, M2) = M1* (x) M2, cut down to
 the F-fixed subcomplex (valid because |F| is invertible, so the fixed
 functor is exact and higher F-cohomology vanishes).  Homology is read off
-Smith-normal data over the truncated chain ring; every class is recomputed
-at precision N+2 and must agree.
+Smith-normal data over the truncated chain ring, exact because every
+finite Smith exponent is at most e*max(n_i) < cap (the certificate in
+the chainlinalg docstring).
 
 Coefficient modules restrict to D diagonally, so the degree-m cochain
 space has basis (tuple of nontrivial D-elements, coefficient index) and
@@ -27,8 +28,7 @@ from functools import cache
 
 import numpy as np
 
-from .chainlinalg import (ChainComplex, free_basis, homology_class,
-                          homology_of_complex)
+from .chainlinalg import ChainComplex, free_basis, homology_of_complex
 from .chainring import BLOCK, ChainRing, chain_ring
 from .chars import BlockCharacter, brauer_chars
 from .errors import (BlockExtError, CrossCheckMismatch, PrecisionUnstable,
@@ -41,9 +41,20 @@ DEFAULT_SIZE_GUARD = 250000
 
 
 def default_precision(a: int) -> int:
-    """Working pi-adic precision: 2*max(n_i) + 2 keeps honest torsion
-    exponents strictly below cap/2 while truncation noise stays above."""
+    """Working precision N = 2*max(n_i) + 2.  Any N > max(n_i) gives the
+    same classes (see smith_bound); the result documents record N."""
     return 2 * a + 2 if a > 0 else 2
+
+
+def smith_bound(D: AbelianPGroup, R: ChainRing) -> int:
+    """e*max(n_i), the valuation of exp(D), which caps every finite Smith
+    exponent of an Ext complex over D; raises unless it is below cap."""
+    a = max(D.orders, default=0)
+    if R.e * a >= R.cap:
+        raise PrecisionUnstable(
+            f"precision N = {R.N} over ring {R.key()} cannot certify Smith "
+            f"exponents up to e*max(n_i) = {R.e * a}; use N >= {a + 1}")
+    return R.e * a
 
 
 def block_ring(ctx: BlockContext, precision: int | None = None) -> ChainRing:
@@ -170,42 +181,17 @@ def _fixed_bar_complex(ring, G, elems, M1: ModuleRep, M2: ModuleRep,
     return cx
 
 
-def ext_oracle(G, M1: ModuleRep, M2: ModuleRep, i: int, R: ChainRing, *,
-               elems=None, size_guard: int | None = None) -> OModuleClass:
-    """Ext^i over O(D x| F) by bar resolution, F = the modules' group.
+def ext_oracle(G, M1: ModuleRep, M2: ModuleRep, degrees, R: ChainRing, *,
+               elems=None, size_guard: int | None = None) -> dict:
+    """{i: Ext^i over O(D x| F)} for i in ``degrees``, by bar resolution
+    from one shared complex, F = the modules' group.
 
-    The class is recomputed at precision N+2 and must agree.  ``elems``
-    restricts the bar complex to a subgroup of D given by its nontrivial
-    elements (used for the D1-side of the Kunneth assembly).
+    ``elems`` restricts the bar complex to a subgroup of D given by its
+    nontrivial elements (used for the two sides of the Kunneth assembly).
     """
-    if i < 0:
+    if min(degrees) < 0:
         raise BlockExtError("negative cohomological degree")
-    if elems is None:
-        elems = G.D.elements()[1:]
-    guard = size_guard if size_guard is not None else DEFAULT_SIZE_GUARD
-    rc = M1.rank * M2.rank
-    if (len(elems) ** (i + 1)) * rc > guard:
-        raise SizeGuardExceeded(
-            f"bar complex size ({len(elems)}^{i + 1} x {rc}) exceeds "
-            f"the guard {guard}")
-    top = i if i >= 1 else 1
-
-    def builder(extra):
-        if extra == 0:
-            ring2, A, B = R, M1, M2
-        else:
-            ring2 = chain_ring(R.p, R.N + extra, R.a, R.mprime)
-            if M1.builder is None or M2.builder is None:
-                raise BlockExtError(
-                    "modules cannot be rebuilt for the precision recheck")
-            A, B = M1.builder(ring2), M2.builder(ring2)
-        return _fixed_bar_complex(ring2, G, elems, A, B, top)
-
-    return homology_class(builder, i, acyclic=True)
-
-
-def _profile(G, M1, M2, degrees, R, *, elems=None, size_guard=None):
-    """Several Ext degrees from one shared complex, N/N+2 checked."""
+    bound = smith_bound(G.D, R)
     if elems is None:
         elems = G.D.elements()[1:]
     guard = size_guard if size_guard is not None else DEFAULT_SIZE_GUARD
@@ -215,23 +201,12 @@ def _profile(G, M1, M2, degrees, R, *, elems=None, size_guard=None):
         raise SizeGuardExceeded(
             f"bar complex size ({len(elems)}^{top} x {rc}) exceeds "
             f"the guard {guard}")
-    def classes(ring, A, B):  # one complex alive at a time
-        cx = _fixed_bar_complex(ring, G, elems, A, B, top)
-        out = {}
-        for i in degrees:
-            free, tors = homology_of_complex(cx, i, acyclic=True)
-            out[i] = OModuleClass(ring.p, free,
-                                  tuple(Fraction(t, ring.e) for t in tors))
-        return out
-
-    out = classes(R, M1, M2)
-    ring2 = chain_ring(R.p, R.N + 2, R.a, R.mprime)
-    out2 = classes(ring2, M1.builder(ring2), M2.builder(ring2))
+    cx = _fixed_bar_complex(R, G, elems, M1, M2, top)
+    out = {}
     for i in degrees:
-        if out[i] != out2[i]:
-            raise PrecisionUnstable(
-                f"H^{i} changed under precision increase: "
-                f"{out[i].pretty()} vs {out2[i].pretty()}")
+        free, tors = homology_of_complex(cx, i, bound=bound, acyclic=True)
+        out[i] = OModuleClass(R.p, free,
+                              tuple(Fraction(t, R.e) for t in tors))
     return out
 
 
@@ -277,8 +252,7 @@ def rank1_rep(ctx: BlockContext, lam: LinearChar, ring: ChainRing) -> ModuleRep:
     """The line O_lam with trivial E-action (pure-D contexts)."""
     E = ctx.G.E
     emats = [((ring.one,),) for _ in range(E.n)]
-    return ModuleRep(ring, E, list(range(E.n)), [lam], emats, "line",
-                     builder=lambda R2: rank1_rep(ctx, lam, R2))
+    return ModuleRep(ring, E, list(range(E.n)), [lam], emats, "line")
 
 
 def ext_abelian_oracle(D: AbelianPGroup, lam1: LinearChar, lam2: LinearChar,
@@ -296,7 +270,7 @@ def ext_abelian_oracle(D: AbelianPGroup, lam1: LinearChar, lam2: LinearChar,
     triv = LinearChar(Dc, (0,) * Dc.t)
     m = LinearChar(Dc, mu.vec)
     out = ext_oracle(ctx.G, rank1_rep(ctx, triv, R), rank1_rep(ctx, m, R),
-                     i, R)
+                     (i,), R)[i]
     ctx.cache[key] = out
     return out
 
@@ -315,25 +289,13 @@ def _shapiro_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
     pivot = c1 if via == 1 else c2
     other = c2 if via == 1 else c1
     stab, embed = pivot.stab, pivot.stab_embed
-
-    def make_line(ring):
-        wm = _vchi_matrices(ring, stab, pivot.chi)
-        deg = pivot.chi.degree()
-        return ModuleRep(ring, stab, list(embed), [pivot.lam] * deg, wm,
-                         "vchi", builder=make_line)
-
-    def make_res(ring):
-        full = build_module_rep(ctx, other, ring)
-        res = full.restrict_to(stab, list(embed), list(embed))
-        res.builder = make_res
-        return res
-
-    if via == 1:
-        M1, M2 = make_line(R), make_res(R)
-    else:
-        M1, M2 = make_res(R), make_line(R)
-    return ext_oracle(G, M1, M2, i, R,
-                      size_guard=ctx.options.get("size_guard"))
+    line = ModuleRep(R, stab, list(embed), [pivot.lam] * pivot.chi.degree(),
+                     _vchi_matrices(R, stab, pivot.chi), "vchi")
+    res = build_module_rep(ctx, other, R).restrict_to(stab, list(embed),
+                                                      list(embed))
+    M1, M2 = (line, res) if via == 1 else (res, line)
+    return ext_oracle(G, M1, M2, (i,), R,
+                      size_guard=ctx.options.get("size_guard"))[i]
 
 
 def _closed_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
@@ -344,26 +306,15 @@ def _closed_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
     d2 = [e for e in G.d2_elements if e != G.D.identity]
     guard = ctx.options.get("size_guard")
 
-    def m_full(c):
-        def make(ring):
-            return build_module_rep(ctx, c, ring)
-        return make
-
-    M1, M2 = m_full(c1)(R), m_full(c2)(R)
-    left = _profile(G, M1, M2, [0, 1, 2], R, elems=d1, size_guard=guard)
+    M1, M2 = build_module_rep(ctx, c1, R), build_module_rep(ctx, c2, R)
+    left = ext_oracle(G, M1, M2, (0, 1, 2), R, elems=d1, size_guard=guard)
 
     # the D2 factor sees only lam restricted to d2_elements; a trivial
     # subgroup of E keeps the ambient action plumbing intact
     tsub, tembed = G.E.subgroup([0])
-
-    def line(c):
-        def make(ring):
-            return ModuleRep(ring, tsub, list(tembed), [c.lam],
-                             [((ring.one,),)], "theta-line", builder=make)
-        return make
-
-    r1, r2 = line(c1)(R), line(c2)(R)
-    right = _profile(G, r1, r2, [0, 1, 2], R, elems=d2, size_guard=guard)
+    r1, r2 = (ModuleRep(R, tsub, list(tembed), [c.lam], [((R.one,),)],
+                        "theta-line") for c in (c1, c2))
+    right = ext_oracle(G, r1, r2, (0, 1, 2), R, elems=d2, size_guard=guard)
     # degree 3 enters only as Tor_1(left[3], right[0]) and
     # Tor_1(left[0], right[3]), which vanish when both H^0 are
     # torsion-free, so zero placeholders at degree 3 are exact
@@ -385,6 +336,7 @@ def ext_block(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
     if via not in (1, 2):
         raise BlockExtError("via selects which character to reduce: 1 or 2")
     R = ring or block_ring(ctx)
+    smith_bound(ctx.G.D, R)  # a too-low precision fails before any build
     key = ("ext", c1.key(), c2.key(), i, mode, via, R.key())
     out = ctx.cache.get(key)
     if out is not None:
@@ -459,7 +411,7 @@ def _modp_dim_ext1(ctx: BlockContext, rep1: ModuleRep,
     if (len(elems) ** 2) * rc > guard:
         raise SizeGuardExceeded("mod-p bar complex exceeds the size guard")
     cx = _fixed_bar_complex(ring0, G, elems, rep1, rep2, 2)
-    free, tors = homology_of_complex(cx, 1, acyclic=False)
+    free, tors = homology_of_complex(cx, 1, bound=0, acyclic=False)
     assert not tors, "residue field homology cannot carry torsion"
     return free
 

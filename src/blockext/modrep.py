@@ -24,19 +24,15 @@ class ModuleRep:
     """A G = D x| F module: diagonal D-characters plus F-matrices."""
 
     def __init__(self, ring: ChainRing, F: FiniteGroup, embed: list[int],
-                 dchars: list[LinearChar], emats: list, provenance: str,
-                 builder=None):
+                 dchars: list[LinearChar], emats, provenance: str):
         self.ring = ring
         self.F = F
         self.embed = embed          # F's element indices inside the parent E
-        self.dchars = list(dchars)
-        self.emats = list(emats)    # one rank x rank matrix per F element
-        self.rank = len(dchars)
+        self.dchars = tuple(dchars)
+        self.emats = tuple(emats)   # one rank x rank matrix per F element
+        self.rank = len(self.dchars)
         self.provenance = provenance
-        # builder(ring2) reconstructs the same module over another precision,
-        # which the oracle needs for its N versus N+2 stability check
-        self.builder = builder
-        assert len(emats) == F.n
+        assert len(self.emats) == F.n
 
     def array(self) -> np.ndarray:
         """The F-matrices as an element array (F.n, rank, rank, dim)."""
@@ -182,7 +178,12 @@ def sum_entries(ring, A_cols, B_cols, x, y):
 
 def build_module_rep(ctx: BlockContext, c: BlockCharacter,
                      ring: ChainRing) -> ModuleRep:
-    """The G-module of the block character, induced from D x| E_lambda."""
+    """The G-module of the block character, induced from D x| E_lambda;
+    built and verified once per ring, then read from the block's cache."""
+    key = ("module", c.key(), ring.key())
+    rep = ctx.cache.get(key)
+    if rep is not None:
+        return rep
     G = ctx.G
     E = G.E
     stab_set = set(c.stab_embed)
@@ -218,7 +219,7 @@ def build_module_rep(ctx: BlockContext, c: BlockCharacter,
                     M[j * deg + a][i * deg + b] = W[a][b]
         emats.append(tuple(tuple(row) for row in M))
     rep = ModuleRep(ring, E, list(range(E.n)), dchars, emats,
-                    f"induced(lam={c.lam.vec})",
-                    builder=lambda R2: build_module_rep(ctx, c, R2))
+                    f"induced(lam={c.lam.vec})")
     rep.verify(G)
+    ctx.cache[key] = rep
     return rep

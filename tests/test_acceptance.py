@@ -170,9 +170,9 @@ def test_criterion_08_character_sanity():
 
 
 def test_criterion_09_precision_stability(example_a, example_b, example_c):
-    # every oracle and profile call already recomputes at N+2 and raises
-    # PrecisionUnstable on any drift; these dual-ring runs repeat the
-    # comparison with explicit rings on top of that
+    # every oracle call certifies its Smith exponents against the bound
+    # e*max(n_i) < cap and raises PrecisionUnstable on a residue past it;
+    # these dual-ring runs compare the classes at N and N+2 on top of that
     checked = 0
     for p, orders in PURE_CASES:
         D = abelian_context(p, orders).G.D
@@ -198,7 +198,7 @@ def test_criterion_09_precision_stability(example_a, example_b, example_c):
             assert e1 == e2, f"Example {label} pair ({a},{b})"
             checked += 1
     _report(9, f"{checked} explicit N vs N+2 recomputations identical; "
-               f"every engine call self-checks at N+2 besides")
+               f"every engine call certifies its Smith exponents besides")
 
 
 def test_criterion_10_shapiro_order_independence(example_a):

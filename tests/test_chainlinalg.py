@@ -1,7 +1,6 @@
 """Homology over the chain ring, checked against known cyclic cohomology,
 and the dense Smith elimination against a plain scalar one."""
 
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -12,7 +11,6 @@ from blockext.chainlinalg import (
     ChainComplex,
     _smith_exponents,
     _sparse,
-    homology_class,
     homology_of_complex,
 )
 from blockext.chainring import ChainRing, chain_ring
@@ -61,52 +59,48 @@ def test_cyclic_trivial_coefficients():
     R = chain_ring(3, 4, 1, 1)  # e = 2, cap = 8
     cx = cyclic_bar_complex(R, 3, 0, 3)
     cx.verify()
-    assert homology_of_complex(cx, 0) == (1, [])
-    assert homology_of_complex(cx, 1) == (0, [])
+    b = R.e  # e * v_3(3), the valuation of the group exponent
+    assert homology_of_complex(cx, 0, bound=b) == (1, [])
+    assert homology_of_complex(cx, 1, bound=b) == (0, [])
     # H^2(C_3, O) = O/3, pi-exponent e
-    assert homology_of_complex(cx, 2) == (0, [2])
+    assert homology_of_complex(cx, 2, bound=b) == (0, [2])
 
 
 def test_cyclic_nontrivial_coefficients():
     R = chain_ring(3, 4, 1, 1)
     cx = cyclic_bar_complex(R, 3, 1, 4)
     cx.verify()
+    b = R.e
     # odd positions carry O/(1 - zeta_3) (pi-exponent e/2 = 1), even vanish
-    assert homology_of_complex(cx, 0) == (0, [])
-    assert homology_of_complex(cx, 1) == (0, [1])
-    assert homology_of_complex(cx, 2) == (0, [])
-    assert homology_of_complex(cx, 3) == (0, [1])
+    assert homology_of_complex(cx, 0, bound=b) == (0, [])
+    assert homology_of_complex(cx, 1, bound=b) == (0, [1])
+    assert homology_of_complex(cx, 2, bound=b) == (0, [])
+    assert homology_of_complex(cx, 3, bound=b) == (0, [1])
 
 
 def test_c9_profiles():
     R = chain_ring(3, 6, 2, 1)  # e = 6, cap = 36
+    b = 2 * R.e  # e * v_3(9)
     # order-9 character: 1 - zeta_9 torsion, exponent 1
     cx = cyclic_bar_complex(R, 9, 1, 2)
-    assert homology_of_complex(cx, 1) == (0, [1])
+    assert homology_of_complex(cx, 1, bound=b) == (0, [1])
     # order-3 character: 1 - zeta_3 torsion, exponent 3
     cx = cyclic_bar_complex(R, 9, 3, 2)
-    assert homology_of_complex(cx, 1) == (0, [3])
-    # trivial: H^2 = O/9, exponent 2e = 12
+    assert homology_of_complex(cx, 1, bound=b) == (0, [3])
+    # trivial: H^2 = O/9, exponent 2e = 12, exactly the bound
     cx = cyclic_bar_complex(R, 9, 0, 3)
-    assert homology_of_complex(cx, 2) == (0, [12])
+    assert homology_of_complex(cx, 2, bound=b) == (0, [12])
 
 
 def test_homology_class_and_reverify():
-    def builder(extra):
-        R = chain_ring(3, 4 + extra, 1, 1)
-        return cyclic_bar_complex(R, 3, 1, 2)
-
-    cls = homology_class(builder, 1)
-    assert cls.p == 3 and cls.free_rank == 0
-    assert cls.torsion == (Fraction(1, 2),)
-
-    def bad_builder(extra):
-        # an artificial complex whose class depends on the precision
-        R = chain_ring(3, 2 + extra, 0, 1)
-        return ChainComplex(R, [1, 1], [{(0, 0): R.from_int(3)}])
-
-    with pytest.raises(PrecisionUnstable):
-        homology_class(bad_builder, 0)
+    # d = 3 over Z/9: exponent 1 is reported under bound 1, and under
+    # bound 0 the nonzero residue breaks the certificate
+    R = chain_ring(3, 2, 0, 1)
+    cx = ChainComplex(R, [1, 1], [{(0, 0): R.from_int(3)}])
+    assert homology_of_complex(cx, 1, bound=1, acyclic=True) == (0, [1])
+    with pytest.raises(PrecisionUnstable, match="exponent 1") as err:
+        homology_of_complex(cx, 1, bound=0, acyclic=True)
+    assert str(R.key()) in str(err.value) and "1x1 matrix" in str(err.value)
 
 
 def array(R, rows):
@@ -117,16 +111,16 @@ def array(R, rows):
 
 def test_snf_chain_ring():
     R = chain_ring(3, 6, 0, 1)  # plain Z/3^6, e = 1
-    half = (R.cap + 1) // 2  # the threshold homology uses
+    bound = R.cap - 1
     M = array(R, [[R.from_int(1), R.from_int(1)],
                   [R.from_int(-1), R.from_int(2)]])
-    assert _smith_exponents(R, M, half) == [0, 1]  # det = 3
+    assert _smith_exponents(R, M, bound) == [0, 1]  # det = 3
     M = array(R, [[R.from_int(1), R.from_int(1)],
                   [R.from_int(1), R.from_int(1)]])
-    assert _smith_exponents(R, M, half) == [0]  # rank 1
+    assert _smith_exponents(R, M, bound) == [0]  # rank 1
     M = array(R, [[R.from_int(9), R.zero],
                   [R.zero, R.from_int(3)]])
-    assert _smith_exponents(R, M, half) == [1, 2]
+    assert _smith_exponents(R, M, bound) == [1, 2]
 
 
 def test_verify_catches_broken_complex():
@@ -220,10 +214,16 @@ def test_smith_matches_reference(shape):
 
     @settings(derandomize=True, max_examples=25, deadline=None,
               database=None)
-    @given(rows=ring_matrices(R), threshold=st.integers(0, R.cap + 2))
-    def check(rows, threshold):
-        got = _smith_exponents(R, array(R, rows), threshold)
-        assert got == reference_exponents(R, rows, threshold)
+    @given(rows=ring_matrices(R), bound=st.integers(0, R.cap + 2))
+    def check(rows, bound):
+        ref = reference_exponents(R, rows, R.cap)  # ascending
+        past = [a for a in ref if a > bound]
+        if not past:
+            assert _smith_exponents(R, array(R, rows), bound) == ref
+        else:  # the first exponent past the bound breaks the certificate
+            with pytest.raises(PrecisionUnstable,
+                               match=f"exponent {past[0]} past"):
+                _smith_exponents(R, array(R, rows), bound)
 
     check()
 
@@ -243,9 +243,10 @@ def test_smith_past_int64_bound_uses_objects():
     assert A.dtype == object
     rows = [[tuple(v) for v in row] for row in A.tolist()]
     assert reference_exponents(R, rows, R.cap) == [0, 5, 39]
-    # threshold cap / 2 = 20 leaves 3^39 out
-    assert _smith_exponents(R, A.copy(), (R.cap + 1) // 2) == [0, 5]
-    assert _smith_exponents(R, A, R.cap) == [0, 5, 39]
+    # under bound 20 the residue 3^39 is past the bound and raises
+    with pytest.raises(PrecisionUnstable, match="exponent 39 past"):
+        _smith_exponents(R, A.copy(), 20)
+    assert _smith_exponents(R, A, R.cap - 1) == [0, 5, 39]
 
 
 def test_smith_residue_names_ring():
@@ -253,7 +254,7 @@ def test_smith_residue_names_ring():
     R.inv = lambda u: R.from_int(2)
     M = array(R, [[R.one], [R.one]])
     with pytest.raises(BlockExtError, match="residue") as err:
-        _smith_exponents(R, M, R.cap)
+        _smith_exponents(R, M, R.cap - 1)
     assert str(R.key()) in str(err.value)
     assert "2x1 matrix" in str(err.value) and "pivot (0, 0)" in str(err.value)
 
@@ -263,7 +264,7 @@ def test_negative_free_rank_names_ring():
     # not a complex: d1 d0 != 0, so the ranks cannot add up
     cx = ChainComplex(R, [1, 1, 1], [{(0, 0): R.one}, {(0, 0): R.one}])
     with pytest.raises(PrecisionUnstable) as err:
-        homology_of_complex(cx, 1)
+        homology_of_complex(cx, 1, bound=0)
     assert str(R.key()) in str(err.value)
 
 
@@ -273,8 +274,8 @@ def test_array_built_complex_exposes_dicts(shape):
     cx = cyclic_bar_complex(R, 3, 0, 3)
     arrays = ChainComplex(R, cx.ranks, [cx.matrix(i) for i in range(3)])
     assert arrays.diffs == cx.diffs
-    assert [homology_of_complex(arrays, i) for i in range(3)] == \
-        [homology_of_complex(cx, i) for i in range(3)] == \
+    assert [homology_of_complex(arrays, i, bound=R.e) for i in range(3)] == \
+        [homology_of_complex(cx, i, bound=R.e) for i in range(3)] == \
         [(1, []), (0, []), (0, [R.e])]
     arrays.diffs[1][(0, 0)] = R.add(arrays.diffs[1].get((0, 0), R.zero), R.one)
     with pytest.raises(BlockExtError):

@@ -83,6 +83,18 @@ def test_ext_modes_agree(capsys):
     assert closed["ext"] == oracle["ext"]
 
 
+def test_ext_least_admissible_precision(capsys):
+    # N = max(n_i) + 1 = 2 already certifies every Smith exponent
+    code, doc = run(capsys, "ext", SPEC_A, "0", "1", "--precision", "2")
+    assert code == 0
+    assert doc["ext"]["pretty"] == "O/p" and doc["precision"] == 2
+
+
+def test_ext_precision_too_low_exits_1(capsys):
+    assert main(["ext", SPEC_A, "0", "1", "--precision", "1"]) == 1
+    assert "N >= 2" in capsys.readouterr().err
+
+
 def test_ext_bad_index_exits_2(capsys):
     assert main(["ext", SPEC_A, "0", "9"]) == 2
 

@@ -8,7 +8,8 @@ from blockext import (BlockContext, LinearChar, OModuleClass, build_irr_B,
                       ext1_modp, ext_abelian_closed, ext_abelian_oracle,
                       ext_block, ext_shape_classify, reduce_to_brauer,
                       validate_block_spec)
-from blockext.errors import BlockExtError, SizeGuardExceeded
+from blockext.errors import (BlockExtError, PrecisionUnstable,
+                             SizeGuardExceeded)
 from blockext.extengine import (abelian_context, block_ring,
                                 ext1_modp_simples, ext_oracle, rank1_rep)
 from blockext.omodule import val_one_minus_zeta
@@ -79,6 +80,36 @@ def test_oracle_memoizes_on_character_quotient():
     assert ("abelian", (1,), 1, 6) in ctx.cache
 
 
+# the acceptance suite's pure defect groups, and three with p = 5
+CERTIFIED_CASES = [(3, (2,)), (3, (1, 1)), (3, (1, 2)), (2, (3,)), (2, (2, 2)),
+                   (5, (1,)), (5, (2,)), (5, (1, 1))]
+
+
+@pytest.mark.parametrize("p,orders", CERTIFIED_CASES)
+def test_least_admissible_precision_is_exact(p, orders):
+    # N = max(n_i) + 1 puts the bound e*max(n_i) just below cap = N e
+    D = abelian_context(p, orders).G.D
+    triv = LinearChar(D, (0,) * D.t)
+    for mu in all_chars(D):
+        for i in (0, 1, 2):
+            low = ext_abelian_oracle(D, triv, mu, i, precision=max(orders) + 1)
+            assert low == ext_abelian_oracle(D, triv, mu, i) == \
+                ext_abelian_closed(D, triv, mu, i), (mu.vec, i)
+
+
+def test_precision_too_low_raises_before_building(example_a):
+    D = abelian_context(3, (2,)).G.D
+    triv = LinearChar(D, (0,))
+    with pytest.raises(PrecisionUnstable, match="N >= 3"):
+        ext_abelian_oracle(D, triv, triv, 2, precision=2)
+    irr = build_irr_B(example_a)
+    before = set(example_a.cache)
+    with pytest.raises(PrecisionUnstable, match="N >= 2"):
+        ext_block(example_a, irr[0], irr[2], 2,
+                  ring=block_ring(example_a, precision=1))
+    assert set(example_a.cache) == before  # no module was built
+
+
 def test_size_guard_trips():
     ctx = abelian_context(3, (2,))
     D = ctx.G.D
@@ -86,7 +117,7 @@ def test_size_guard_trips():
     triv = LinearChar(D, (0,))
     M = rank1_rep(ctx, triv, R)
     with pytest.raises(SizeGuardExceeded):
-        ext_oracle(ctx.G, M, M, 2, R, size_guard=10)
+        ext_oracle(ctx.G, M, M, (2,), R, size_guard=10)
 
 
 # -- block dispatch -------------------------------------------------------

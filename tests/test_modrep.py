@@ -2,7 +2,8 @@
 
 import pytest
 
-from blockext import BlockContext, build_irr_B, build_module_rep, chain_ring
+from blockext import (BlockContext, ModuleRep, build_irr_B, build_module_rep,
+                      chain_ring)
 from blockext.chars import char_table
 from blockext.errors import BlockExtError
 from blockext.groups import build_group
@@ -56,21 +57,24 @@ def test_tensor_rank_multiplies(example_a, ring_a):
     t.verify(example_a.G)
 
 
-def test_builder_rebuilds_at_higher_precision(example_a, ring_a):
+def test_modules_are_built_once_per_ring(example_a, ring_a):
     irr = build_irr_B(example_a)
-    rep = build_module_rep(example_a, irr[0], ring_a)
-    R2 = chain_ring(3, 6, 1, 4)
-    rep2 = rep.builder(R2)
-    assert rep2.ring is R2
-    assert rep2.rank == rep.rank
+    rep = build_module_rep(example_a, irr[2], ring_a)
+    assert build_module_rep(example_a, irr[2], ring_a) is rep
+    other = build_module_rep(example_a, irr[2], chain_ring(3, 6, 1, 4))
+    assert other is not rep and other.rank == rep.rank
+    with pytest.raises(TypeError):  # a cached module cannot be edited
+        rep.emats[0] = rep.emats[1]
 
 
 def test_cayley_violation_detected(example_a, ring_a):
     irr = build_irr_B(example_a)
     rep = build_module_rep(example_a, irr[0], ring_a)
-    rep.emats[1] = ((ring_a.from_int(2),),)
+    emats = list(rep.emats)
+    emats[1] = ((ring_a.from_int(2),),)
+    bad = ModuleRep(ring_a, rep.F, rep.embed, rep.dchars, emats, "corrupted")
     with pytest.raises(BlockExtError, match="Cayley"):
-        rep.verify(example_a.G)
+        bad.verify(example_a.G)
 
 
 def test_degree_two_idempotent_split():
