@@ -4,9 +4,10 @@ The objects handled here are blocks B = O(D x| E) e_phi where D is a finite
 abelian p-group acted on by a p'-group E, Z = C_E(D) is cyclic and central in
 E, and phi is a faithful linear character of Z.  The package builds the
 ordinary and Brauer characters of B, computes Ext groups between the
-corresponding linear-source lattices both by closed formulas and by an
-independent cochain-complex oracle over a truncated valuation ring, and
-mechanically verifies the classification of good subsets of Irr(B).
+corresponding linear-source lattices both by a Kunneth assembly (closed
+formulas on C_D(E), a cochain oracle on the rest) and by a cochain-complex
+oracle over all of D, over a truncated valuation ring, and mechanically
+verifies the classification of good subsets of Irr(B).
 """
 
 from .cyclotomic import CycloNumber, cyclotomic_coeffs, zeta
@@ -54,7 +55,6 @@ from .chars import (
     irr_over_phi,
     lifts_of,
     reduce_to_brauer,
-    restrict,
 )
 from .modrep import ModuleRep, build_module_rep
 from .extengine import (

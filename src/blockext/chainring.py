@@ -249,7 +249,10 @@ class ChainRing:
     def z_elt(self) -> tuple:
         if self.a == 0:
             raise ValueError("no ramified part when a = 0")
-        return self.monomial(0, 1)
+        # for e = 1 the class of z is the root -psi[0] of Psi(z) = z + p
+        if self.e > 1:
+            return self.monomial(0, 1)
+        return self.from_int(-self.psi[0])
 
     @property
     def pi(self) -> tuple:

@@ -9,7 +9,8 @@ returned values are exact CycloNumbers and every table is verified against
 both orthogonality relations before use.
 
 Irr(B) is parametrized by pairs (lambda, chi) with lambda an orbit
-representative on Irr(D) and chi in Irr(E_lambda | phi); the Brauer side is
+representative on Irr(D) and chi in Irr(E_lambda | phi), certified
+distinct by Clifford theory without building D x| E; the Brauer side is
 Irr(E | phi) and decomposition numbers are inner products of E-inductions.
 """
 
@@ -21,14 +22,9 @@ from math import isqrt
 import sympy
 
 from .cyclotomic import CycloNumber, zeta
-from .errors import (
-    BlockExtError,
-    OrthogonalityFailure,
-    SizeGuardExceeded,
-)
-from .groups import BlockContext, FiniteGroup, LinearChar, SemidirectGroup
+from .errors import BlockExtError, OrthogonalityFailure
+from .groups import BlockContext, FiniteGroup, LinearChar
 
-_FULL_GROUP_BOUND = 1024
 _ZERO = CycloNumber.from_rational(0)
 _ONE = CycloNumber.from_rational(1)
 
@@ -291,7 +287,7 @@ def irr_over_phi(F: FiniteGroup, z_local: int, zorder: int,
 
 
 # ---------------------------------------------------------------------------
-# induction and restriction
+# induction
 # ---------------------------------------------------------------------------
 
 def induce(G: FiniteGroup, embed: list[int], cf: ClassFunction) -> ClassFunction:
@@ -312,35 +308,9 @@ def induce(G: FiniteGroup, embed: list[int], cf: ClassFunction) -> ClassFunction
     return ClassFunction(G, values)
 
 
-def restrict(G: FiniteGroup, cf: ClassFunction, H: FiniteGroup,
-             embed: list[int]) -> ClassFunction:
-    assert cf.group is G and len(embed) == H.n
-    return ClassFunction(
-        H, [cf.values[G.class_of[embed[cls[0]]]] for cls in H.classes])
-
-
 # ---------------------------------------------------------------------------
 # the ordinary and Brauer characters of B
 # ---------------------------------------------------------------------------
-
-def full_group(G: SemidirectGroup) -> FiniteGroup:
-    """G = D x| E as an explicit FiniteGroup with labels (d, e)."""
-    n = G.D.order * G.E.n
-    if n > _FULL_GROUP_BOUND:
-        raise SizeGuardExceeded(
-            f"|G| = {n} exceeds the explicit-group bound {_FULL_GROUP_BOUND}")
-    labels = [(d, e) for d in G.D.elements() for e in range(G.E.n)]
-    index = {lab: i for i, lab in enumerate(labels)}
-    table = []
-    for (d1, e1) in labels:
-        row = []
-        for (d2, e2) in labels:
-            row.append(index[(G.D.add(d1, G.action.apply(e1, d2)),
-                              G.E.table[e1][e2])])
-        table.append(row)
-    gens = [index[lab] for lab in labels[1:]]
-    return FiniteGroup(labels, table, gens)
-
 
 class BlockCharacter:
     """(lambda, chi) with lambda an orbit representative, chi over phi."""
@@ -360,48 +330,46 @@ class BlockCharacter:
         return f"BlockCharacter(lam={self.lam.vec}, degree={self.degree})"
 
 
-def block_char_on_subgroup(FG: FiniteGroup, c: BlockCharacter
-                           ) -> tuple[FiniteGroup, list[int], ClassFunction]:
-    """(lambda, chi) as a class function on D x| E_lambda inside the full
-    group FG (see full_group)."""
-    stab_set = set(c.stab_embed)
-    idx = [i for i, (d, e) in enumerate(FG.perms) if e in stab_set]
-    H, embed = FG.subgroup(idx)
-    pos_stab = {e: i for i, e in enumerate(c.stab_embed)}
-    vals = []
-    for cls in H.classes:
-        d, e = H.perms[cls[0]]
-        vals.append(c.lam.value(d) * c.chi.values[c.stab.class_of[pos_stab[e]]])
-    return H, embed, ClassFunction(H, vals)
-
-
-def induced_block_char(FG: FiniteGroup, c: BlockCharacter) -> ClassFunction:
-    H, embed, cf = block_char_on_subgroup(FG, c)
-    return induce(FG, embed, cf)
-
-
 def build_irr_B(ctx: BlockContext) -> list[BlockCharacter]:
-    """Irr(B) as BlockCharacters; degree sum and distinctness verified."""
+    """Irr(B) as BlockCharacters, under a Clifford certificate.
+
+    Induction is a bijection Irr(D x| E_lam | lam) -> Irr(G | lam), and
+    Irr(G | lam) meets Irr(G | lam') only when lam and lam' are E-conjugate
+    (Isaacs, Character Theory of Finite Groups, 6.2 and 6.11).  lam extends
+    to D x| E_lam by (d, e) -> lam(d), so Irr(D x| E_lam | lam) is that
+    extension times Irr(E_lam) (Gallagher, Isaacs 6.17).  The pairs thus
+    induce to distinct irreducible characters when the representatives lie
+    in distinct orbits and the chi over each stabilizer are distinct.  The
+    certificate checks that the orbits partition Irr(D), that
+    |orbit| |E_lam| = |E| (E_lam is the whole stabilizer), and that the chi
+    have distinct sort keys; sum deg^2 = |G|/|Z| then says none is missing.
+    """
     cached = ctx.cache.get("irr_B")
     if cached is not None:
         return cached
     G = ctx.G
     zorder = len(G.Z)
+    orbits = G.char_orbits()
+    covered = set().union(*(o["orbit"] for o in orbits))
+    if not sum(len(o["orbit"]) for o in orbits) == len(covered) == G.D.order:
+        raise BlockExtError("Clifford certificate: orbits do not partition "
+                            "Irr(D)")
     out = []
-    for orbit in G.char_orbits():
+    for orbit in orbits:
+        size, order = len(orbit["orbit"]), len(orbit["stabilizer"])
+        if size * order != G.E.n:
+            raise BlockExtError(f"Clifford certificate: an orbit of {size} "
+                                f"with a stabilizer of order {order}")
         stab, embed = G.E.subgroup(orbit["stabilizer"])
-        pos = {e: i for i, e in enumerate(embed)}
-        z_local = pos[G.z_gen]
-        for chi in irr_over_phi(stab, z_local, zorder, ctx.phi_exponent):
-            out.append(BlockCharacter(orbit["rep"], chi, stab, embed, G.E.n))
+        chis = irr_over_phi(stab, embed.index(G.z_gen), zorder,
+                            ctx.phi_exponent)
+        if len({chi.sort_key() for chi in chis}) != len(chis):
+            raise BlockExtError("Clifford certificate: repeated chi over "
+                                f"the stabilizer of {orbit['rep'].vec}")
+        out.extend(BlockCharacter(orbit["rep"], chi, stab, embed, G.E.n)
+                   for chi in chis)
     if sum(c.degree ** 2 for c in out) != G.order // zorder:
         raise BlockExtError("degree sum check failed for Irr(B)")
-    FG = full_group(G)
-    induced = [induced_block_char(FG, c) for c in out]
-    for i in range(len(induced)):
-        for j in range(i + 1, len(induced)):
-            if induced[i].values == induced[j].values:
-                raise BlockExtError("induced characters are not distinct")
     ctx.cache["irr_B"] = out
     return out
 

@@ -17,14 +17,16 @@ inverse for coordinate readback.
 
 Closed mode for block pairs uses that D = D1 x D2 with E acting trivially
 on D2, so the group factors as (D1 x| E) x D2 and Ext assembles by the
-Kunneth formula from a small D1 x| E-side profile (computed by the same
-oracle on the D1-element list) and an abelian D2-side profile.
+Kunneth formula.  The D2 factor comes from the shape lemma alone; the
+D1 x| E factor is still computed by this oracle on the D1-element list.
+So crosscheck compares two independent computations only on the D2 side.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 import numpy as np
 
@@ -62,7 +64,9 @@ def block_ring(ctx: BlockContext, precision: int | None = None) -> ChainRing:
     G = ctx.G
     a = max(G.D.orders, default=0)
     if precision is None:
-        precision = ctx.options.get("precision") or default_precision(a)
+        precision = ctx.options.get("precision")
+    if precision is None:
+        precision = default_precision(a)
     return chain_ring(G.D.p, precision, a, G.E.exponent)
 
 
@@ -187,7 +191,7 @@ def ext_oracle(G, M1: ModuleRep, M2: ModuleRep, degrees, R: ChainRing, *,
     from one shared complex, F = the modules' group.
 
     ``elems`` restricts the bar complex to a subgroup of D given by its
-    nontrivial elements (used for the two sides of the Kunneth assembly).
+    nontrivial elements (used for the D1 side of the Kunneth assembly).
     """
     if min(degrees) < 0:
         raise BlockExtError("negative cohomological degree")
@@ -212,20 +216,17 @@ def ext_oracle(G, M1: ModuleRep, M2: ModuleRep, degrees, R: ChainRing, *,
 
 # -- closed forms ---------------------------------------------------------
 
-def ext_abelian_closed(D: AbelianPGroup, lam1: LinearChar, lam2: LinearChar,
-                       i: int) -> OModuleClass:
-    """Ext^i_{OD}(O_lam1, O_lam2) for abelian D, from the shape lemma."""
+def shape_lemma(p: int, orders, d: int, i: int) -> OModuleClass:
+    """Ext^i_{OD}(O, O_mu) by the shape lemma, for D the product of the
+    C_{p^n} with n in orders and mu a character of order d."""
     if i not in (0, 1, 2):
         raise BlockExtError("closed forms cover degrees 0..2 only")
-    p = D.p
-    mu = lam1.inverse().mul(lam2)
-    if mu.is_trivial():
+    if d == 1:
         if i == 0:
             return OModuleClass(p, 1, ())
         if i == 1:
             return OModuleClass(p, 0, ())
-        return OModuleClass(p, 0, tuple(Fraction(n) for n in D.orders))
-    d = mu.order()
+        return OModuleClass(p, 0, tuple(Fraction(n) for n in orders))
     k = 0
     while p ** k < d:
         k += 1
@@ -234,7 +235,13 @@ def ext_abelian_closed(D: AbelianPGroup, lam1: LinearChar, lam2: LinearChar,
         return OModuleClass(p, 0, ())
     if i == 1:
         return OModuleClass(p, 0, (w,))
-    return OModuleClass(p, 0, (w,) * (D.t - 1))
+    return OModuleClass(p, 0, (w,) * (len(orders) - 1))
+
+
+def ext_abelian_closed(D: AbelianPGroup, lam1: LinearChar, lam2: LinearChar,
+                       i: int) -> OModuleClass:
+    """Ext^i_{OD}(O_lam1, O_lam2) for abelian D, from the shape lemma."""
+    return shape_lemma(D.p, D.orders, lam1.inverse().mul(lam2).order(), i)
 
 
 @cache
@@ -300,29 +307,28 @@ def _shapiro_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
 
 def _closed_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
                   i: int, R: ChainRing) -> OModuleClass:
-    """Kunneth assembly over G = (D1 x| E) x D2."""
+    """Kunneth assembly over G = (D1 x| E) x D2.  E fixes D2, so the D2
+    factor is H^*(D2, O_mu), mu = lam1^-1 lam2 on D2, from the shape lemma
+    (Brown, Cohomology of Groups, III.10); the D1 x| E factor is the
+    oracle's on D1."""
     G = ctx.G
     d1 = [e for e in G.d1_elements if e != G.D.identity]
-    d2 = [e for e in G.d2_elements if e != G.D.identity]
-    guard = ctx.options.get("size_guard")
-
     M1, M2 = build_module_rep(ctx, c1, R), build_module_rep(ctx, c2, R)
-    left = ext_oracle(G, M1, M2, (0, 1, 2), R, elems=d1, size_guard=guard)
-
-    # the D2 factor sees only lam restricted to d2_elements; a trivial
-    # subgroup of E keeps the ambient action plumbing intact
-    tsub, tembed = G.E.subgroup([0])
-    r1, r2 = (ModuleRep(R, tsub, list(tembed), [c.lam], [((R.one,),)],
-                        "theta-line") for c in (c1, c2))
-    right = ext_oracle(G, r1, r2, (0, 1, 2), R, elems=d2, size_guard=guard)
+    left = ext_oracle(G, M1, M2, (0, 1, 2), R, elems=d1,
+                      size_guard=ctx.options.get("size_guard"))
+    mu = c1.lam.inverse().mul(c2.lam)
+    qm = G.D.exponent
+    d = max(qm // gcd(mu.value_exponent(x), qm) for x in G.d2_elements)
+    right = [shape_lemma(G.D.p, G.d2_invariants, d, k) for k in (0, 1, 2)]
     # degree 3 enters only as Tor_1(left[3], right[0]) and
     # Tor_1(left[0], right[3]), which vanish when both H^0 are
-    # torsion-free, so zero placeholders at degree 3 are exact
-    if left[0].torsion or right[0].torsion:
+    # torsion-free (the shape lemma's always is), so zero placeholders
+    # at degree 3 are exact
+    if left[0].torsion:
         raise BlockExtError("H^0 of a Kunneth factor is not torsion-free")
     zero = OModuleClass(G.D.p, 0, ())
     return kunneth_assemble([left[0], left[1], left[2], zero],
-                            [right[0], right[1], right[2], zero], i)
+                            [*right, zero], i)
 
 
 def ext_block(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,

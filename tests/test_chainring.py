@@ -42,6 +42,15 @@ def test_valuations():
     assert R.val(R.sub(R.one, y)) == 1
 
 
+@pytest.mark.parametrize("mprime", [1, 3])
+def test_unramified_over_z2(mprime):
+    # p = 2, a = 1: e = 1 and Psi(z) = z + 2, so pi = z = -2
+    R = chain_ring(2, 4, 1, mprime)
+    assert R.e == 1
+    assert R.val(R.pi) == 1
+    assert R.zeta_elt(2) == R.from_int(-1)
+
+
 def test_root_orders():
     R = chain_ring(3, 3, 2, 4)
     y = R.add(R.one, R.z_elt)

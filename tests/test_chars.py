@@ -1,26 +1,31 @@
 """Character tables, Irr(B), induction and the Brauer identification."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from blockext import chars
 from blockext.chars import (
     ClassFunction,
-    block_char_on_subgroup,
     brauer_chars,
     build_irr_B,
     char_table,
     decomposition_matrix,
-    full_group,
     induce,
-    induced_block_char,
     irr_over_phi,
     lifts_of,
     reduce_to_brauer,
-    restrict,
 )
 from blockext.cyclotomic import zeta
-from blockext.groups import build_group
+from blockext.errors import BlockExtError
+from blockext.groups import (BlockContext, FiniteGroup, build_group,
+                             validate_block_spec)
+from blockext.specfile import load_spec, to_context
+
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = sorted((ROOT / "corpus").glob("*.blockspec")) + [
+    ROOT / "perfbench" / "specs" / "q8-c3xc3.blockspec"]
 
 C4 = (1, 2, 3, 0)
 QI = (2, 3, 1, 0, 6, 7, 5, 4)
@@ -112,6 +117,40 @@ class TestIrrB:
         assert len(irrB) == 3 and all(c.degree == 1 for c in irrB)
 
 
+# -- the explicit group D x| E, a reference for the Clifford certificate --
+
+def full_group(G) -> FiniteGroup:
+    """G = D x| E as an explicit FiniteGroup with labels (d, e)."""
+    labels = [(d, e) for d in G.D.elements() for e in range(G.E.n)]
+    index = {lab: i for i, lab in enumerate(labels)}
+    table = [[index[(G.D.add(d1, G.action.apply(e1, d2)), G.E.table[e1][e2])]
+              for (d2, e2) in labels] for (d1, e1) in labels]
+    return FiniteGroup(labels, table, [index[lab] for lab in labels[1:]])
+
+
+def block_char_on_subgroup(FG, c):
+    """(lambda, chi) as a class function on D x| E_lambda inside FG."""
+    stab_set = set(c.stab_embed)
+    H, embed = FG.subgroup([i for i, (d, e) in enumerate(FG.perms)
+                            if e in stab_set])
+    pos_stab = {e: i for i, e in enumerate(c.stab_embed)}
+    vals = []
+    for cls in H.classes:
+        d, e = H.perms[cls[0]]
+        vals.append(c.lam.value(d) * c.chi.values[c.stab.class_of[pos_stab[e]]])
+    return H, embed, ClassFunction(H, vals)
+
+
+def induced_block_char(FG, c) -> ClassFunction:
+    H, embed, cf = block_char_on_subgroup(FG, c)
+    return induce(FG, embed, cf)
+
+
+def restrict(G, cf, H, embed) -> ClassFunction:
+    return ClassFunction(
+        H, [cf.values[G.class_of[embed[cls[0]]]] for cls in H.classes])
+
+
 class TestInduction:
     def test_regular_character(self, example_a):
         FG = full_group(example_a.G)
@@ -138,6 +177,53 @@ class TestInduction:
             lhs = induce(FG, embed, cf).inner_product(eta)
             rhs = cf.inner_product(restrict(FG, eta, H, embed))
             assert lhs == rhs
+
+    @pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
+    def test_induced_block_chars_orthonormal(self, path):
+        # what the Clifford certificate proves, checked on the full group
+        ctx = to_context(load_spec(path))
+        FG = full_group(ctx.G)
+        eta = [induced_block_char(FG, c) for c in build_irr_B(ctx)]
+        for i, a in enumerate(eta):
+            assert a.degree() == build_irr_B(ctx)[i].degree
+            for j in range(i, len(eta)):
+                assert a.inner_product(eta[j]) == (i == j)
+
+
+class TestCliffordCertificate:
+    @staticmethod
+    def corrupted(edit):
+        G = validate_block_spec(3, [1, 1], [((1, 2, 3, 0), [[-1, 0], [0, 1]])])
+        orbits = G.char_orbits()
+        G.char_orbits = lambda: edit(orbits)
+        return BlockContext(G, phi_exponent=1)
+
+    def test_repeated_orbit(self):
+        ctx = self.corrupted(lambda orbits: orbits + orbits[-1:])
+        with pytest.raises(BlockExtError, match="do not partition Irr"):
+            build_irr_B(ctx)
+
+    def test_missing_orbit(self):
+        ctx = self.corrupted(lambda orbits: orbits[1:])
+        with pytest.raises(BlockExtError, match="do not partition Irr"):
+            build_irr_B(ctx)
+
+    def test_short_stabilizer(self):
+        def edit(orbits):
+            full = next(o for o in orbits if len(o["stabilizer"]) == 4)
+            full["stabilizer"] = [0, 2]
+            return orbits
+        ctx = self.corrupted(edit)
+        with pytest.raises(BlockExtError, match="stabilizer of order 2"):
+            build_irr_B(ctx)
+
+    def test_repeated_chi(self, monkeypatch):
+        ctx = self.corrupted(lambda orbits: orbits)
+        real = chars.irr_over_phi
+        monkeypatch.setattr(chars, "irr_over_phi",
+                            lambda *args: real(*args) * 2)
+        with pytest.raises(BlockExtError, match="repeated chi"):
+            build_irr_B(ctx)
 
 
 class TestBrauer:

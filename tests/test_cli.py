@@ -95,6 +95,23 @@ def test_ext_precision_too_low_exits_1(capsys):
     assert "N >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("precision", ["0", "-1"])
+def test_precision_below_one_exits_2(capsys, precision):
+    assert main(["ext", SPEC_A, "0", "1", f"--precision={precision}"]) == 2
+    assert "bad-spec-file" in capsys.readouterr().err
+
+
+def test_precision_below_one_from_env_or_spec_exits_2(tmp_path, capsys,
+                                                      monkeypatch):
+    spec = tmp_path / "a.blockspec"
+    spec.write_text((CORPUS / "example-a.blockspec").read_text()
+                    + "precision: 0\n")
+    assert main(["chars", str(spec)]) == 2
+    monkeypatch.setenv("BLOCKEXT_PRECISION", "-1")
+    assert main(["chars", SPEC_A]) == 2
+    assert capsys.readouterr().err.count("below 1") == 2
+
+
 def test_ext_bad_index_exits_2(capsys):
     assert main(["ext", SPEC_A, "0", "9"]) == 2
 
@@ -142,6 +159,38 @@ def test_verify_single_spec(capsys):
     assert status == {"validate": "pass", "chars": "pass", "golden": "pass",
                       "ext_sweep": "pass", "uct": "pass", "quiver": "pass",
                       "forcing": "pass", "cyclotomic": "pass"}
+
+
+def test_verify_a4_skips_what_it_cannot_test(capsys):
+    # p = 2, a = 1 runs over the unramified ring Z_2[zeta_3], pi = 2
+    code, doc = run(capsys, "verify", str(CORPUS / "a4.blockspec"))
+    assert code == 0 and doc["passed"]
+    status = {c["name"]: c["status"] for c in doc["specs"][0]["checks"]}
+    assert status["ext_sweep"] == "pass" and status["uct"] == "pass"
+    assert status["forcing"] == "skip"
+
+
+def test_verify_uct_skips_without_disjoint_pairs(tmp_path, capsys):
+    # E = Z = C_2 acts trivially: one Brauer character, no UCT pair
+    spec = tmp_path / "c3z.blockspec"
+    spec.write_text("format: blockspec 1\nname: c3z\np: 3\nd_orders: 1\n\n"
+                    "[generator z]\nperm: 1 0\naction: 1\n")
+    code, doc = run(capsys, "verify", str(spec))
+    assert code == 0 and doc["passed"]
+    uct = next(c for c in doc["specs"][0]["checks"] if c["name"] == "uct")
+    assert uct == {"name": "uct", "status": "skip",
+                   "detail": "no pair has disjoint Brauer reductions"}
+
+
+def test_chars_beyond_1024(tmp_path, capsys):
+    # |G| = 2500: Irr(B) is certified without building D x| E
+    spec = tmp_path / "c25xc25.blockspec"
+    spec.write_text("format: blockspec 1\nname: c25xc25\np: 5\n"
+                    "d_orders: 2 2\n\n[generator e]\nperm: 1 2 3 0\n"
+                    "action: 0 -1; 1 0\n")
+    code, doc = run(capsys, "chars", str(spec))
+    assert code == 0 and doc["degree_check"]
+    assert doc["degree_sq_sum"] == 2500
 
 
 def test_verify_corpus_dir(tmp_path, capsys):

@@ -10,6 +10,7 @@ from blockext import (BlockContext, LinearChar, OModuleClass, build_irr_B,
                       validate_block_spec)
 from blockext.errors import (BlockExtError, PrecisionUnstable,
                              SizeGuardExceeded)
+from blockext import extengine
 from blockext.extengine import (abelian_context, block_ring,
                                 ext1_modp_simples, ext_oracle, rank1_rep)
 from blockext.omodule import val_one_minus_zeta
@@ -141,14 +142,27 @@ def test_example_a_crosscheck_full(example_a):
     assert ext_block(example_a, lin[0], big, 1) == OModuleClass(3, 0, (w,))
 
 
-def test_example_b_kunneth_degree_two(example_b):
-    irr = build_irr_B(example_b)
-    lin = [c for c in irr if c.degree == 1]
-    for c1 in lin[:2]:
-        for c2 in lin[:2]:
-            closed = ext_block(example_b, c1, c2, 2, "closed")
-            oracle = ext_block(example_b, c1, c2, 2, "oracle")
-            assert closed == oracle
+def test_example_b_closed_equals_oracle(monkeypatch):
+    # D2 = C_3 is nontrivial here, so the shape-lemma D2 factor is tested
+    G = validate_block_spec(3, [1, 1], [((1, 2, 3, 0), [[-1, 0], [0, 1]])])
+    ctx = BlockContext(G, phi_exponent=1)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("elems"))
+        return ext_oracle(*args, **kwargs)
+    monkeypatch.setattr(extengine, "ext_oracle", counted)
+    irr = build_irr_B(ctx)
+    for c1 in irr:
+        for c2 in irr:
+            for i in (0, 1, 2):
+                before = len(calls)
+                closed = ext_block(ctx, c1, c2, i, "closed")
+                # one oracle call per class, on the D1 x| E factor
+                assert len(calls) == before + 1
+                assert len(calls[-1]) == len(G.d1_elements) - 1
+                oracle = ext_block(ctx, c1, c2, i, "oracle")
+                assert closed == oracle, (c1, c2, i)
 
 
 def test_shapiro_order_independence(example_a):
