@@ -92,16 +92,18 @@ def enumerate_good_sets(ctx: BlockContext, mode: str = "crosscheck",
     """Brute-force every choice of lifts; Ext^2 results are shared
     through the block-level cache, so overlapping pairs cost once."""
     _require_assumption(ctx)
-    bound = enum_bound or ctx.options.get("enum_bound") or DEFAULT_ENUM_BOUND
+    if enum_bound is None:
+        enum_bound = ctx.options.get("enum_bound", DEFAULT_ENUM_BOUND)
     irr = build_irr_B(ctx)
     nbr = len(brauer_chars(ctx))
     lift_lists = [lifts_of(ctx, k, irr) for k in range(nbr)]
     total = 1
     for lifts in lift_lists:
         total *= max(len(lifts), 1)
-    if total > bound:
+    if total > enum_bound:
         raise EnumerationBoundExceeded(
-            f"{total} candidate sets exceed the enumeration bound {bound}")
+            f"{total} candidate sets exceed the enumeration bound "
+            f"{enum_bound}")
     good = []
     for choice in itertools.product(*lift_lists):
         cand = CandidateSet(tuple(choice))

@@ -88,15 +88,6 @@ from .chainring import BLOCK, ChainRing
 from .errors import BlockExtError, PrecisionUnstable
 
 
-def _dense(ring: ChainRing, entries: dict, nrows: int, ncols: int):
-    """The element array of a sparse {(row, col): element} dict."""
-    A = np.zeros((nrows, ncols, ring.dim), dtype=ring.dtype)
-    if entries:
-        r, c = np.array(list(entries), dtype=np.intp).T
-        A[r, c] = np.array(list(entries.values()), dtype=ring.dtype)
-    return A
-
-
 def _sparse(A) -> dict:
     """The sparse dict of an element array."""
     nz = np.argwhere((A != 0).any(axis=-1))
@@ -194,13 +185,11 @@ def _smith_exponents(ring: ChainRing, A, bound: int) -> list[int]:
 class ChainComplex:
     """A bounded complex of free modules over a ChainRing.
 
-    ranks[i] is the rank at position i; diffs[i] maps position i to i+1.
-    Differentials come and go as sparse {(row, col): element} dicts with
-    row < ranks[i+1] and col < ranks[i]; a caller may hand in element
-    arrays of shape (ranks[i+1], ranks[i], dim) instead, stored in the
-    narrowest dtype that holds pN - 1, which become dicts only when .diffs
-    is read.  From then on the dicts are the record, so edits to them are
-    seen by verify and homology.
+    ranks[i] is the rank at position i; diffs[i] maps position i to i+1,
+    an element array of shape (ranks[i+1], ranks[i], dim).  The complex
+    keeps read-only copies in the narrowest dtype that holds pN - 1;
+    .diffs is a derived sparse view, {(row, col): element} per
+    differential, and edits to it change nothing.
     """
 
     def __init__(self, ring: ChainRing, ranks: list[int], diffs: list):
@@ -209,33 +198,26 @@ class ChainComplex:
         self.ranks = list(ranks)
         self._d = []
         for i, d in enumerate(diffs):
-            if isinstance(d, np.ndarray):
-                assert d.shape == (ranks[i + 1], ranks[i], ring.dim)
-                d = d.astype(np.min_scalar_type(ring.pN - 1))
-            else:
-                d = dict(d)
-                for (r, c) in d:
-                    assert 0 <= r < ranks[i + 1] and 0 <= c < ranks[i]
+            if not isinstance(d, np.ndarray):
+                raise TypeError("differentials must be element arrays")
+            assert d.shape == (ranks[i + 1], ranks[i], ring.dim)
+            d = d.astype(np.min_scalar_type(ring.pN - 1))
+            d.flags.writeable = False
             self._d.append(d)
 
     @property
     def diffs(self) -> list[dict]:
-        self._d = [_sparse(d) if isinstance(d, np.ndarray) else d
-                   for d in self._d]
-        return self._d
+        return [_sparse(d) for d in self._d]
 
     def matrix(self, i: int):
         """diffs[i] as an element array, possibly narrower than ring.dtype;
         read-only."""
-        d = self._d[i]
-        if isinstance(d, np.ndarray):
-            return d
-        return _dense(self.ring, d, self.ranks[i + 1], self.ranks[i])
+        return self._d[i]
 
     def verify(self):
         """Check d o d = 0; raises on violation."""
         for i in range(len(self._d) - 1):
-            lo, hi = self.matrix(i), self.matrix(i + 1)
+            lo, hi = self._d[i], self._d[i + 1]
             step = max(1, BLOCK // max(1, hi.shape[1] * hi.shape[2]))
             for at in range(0, len(hi), step):
                 dd = self.ring.matmul(hi[at:at + step], lo)

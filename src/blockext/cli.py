@@ -169,10 +169,15 @@ class _Skipped(Exception):
 
 
 def _check(checks, name, fn):
+    """Run one harness check; False only when it failed.  A check that
+    hits a resource bound reports status "bound"."""
     try:
         detail = fn()
     except _Skipped as exc:
         checks.append({"name": name, "status": "skip", "detail": str(exc)})
+        return True
+    except (EnumerationBoundExceeded, SizeGuardExceeded) as exc:
+        checks.append({"name": name, "status": "bound", "detail": str(exc)})
         return True
     except BlockExtError as exc:
         checks.append({"name": name, "status": "fail", "detail": str(exc)})
@@ -296,7 +301,7 @@ def _verify_one(args, path, mode) -> dict:
         return f"(p, n) for n in {ns}"
     _check(checks, "cyclotomic", cyclo)
 
-    passed = all(c["status"] != "fail" for c in checks)
+    passed = all(c["status"] not in ("fail", "bound") for c in checks)
     return {"spec": name, "checks": checks, "passed": passed,
             "precision": block_ring(ctx).N}
 
@@ -317,7 +322,8 @@ def cmd_verify(args) -> int:
     name = target.stem if len(paths) == 1 else target.name
     _finish(args, "verify", name,
             {"specs": reports, "passed": ok, "mode": mode}, started=started)
-    return 0 if ok else 1
+    status = {c["status"] for r in reports for c in r["checks"]}
+    return 1 if "fail" in status else 3 if "bound" in status else 0
 
 
 # -- dispatch -------------------------------------------------------------

@@ -36,7 +36,8 @@ from .chars import BlockCharacter, brauer_chars
 from .errors import (BlockExtError, CrossCheckMismatch, PrecisionUnstable,
                      SizeGuardExceeded)
 from .groups import AbelianPGroup, BlockContext, LinearChar, validate_block_spec
-from .modrep import ModuleRep, _vchi_matrices, build_module_rep, kron_array
+from .modrep import (ModuleRep, _vchi_matrices, build_module_rep, kron_array,
+                     vchi_rep)
 from .omodule import OModuleClass, kunneth_assemble, val_one_minus_zeta
 
 DEFAULT_SIZE_GUARD = 250000
@@ -73,9 +74,12 @@ def block_ring(ctx: BlockContext, precision: int | None = None) -> ChainRing:
 # -- the F-fixed bar complex ----------------------------------------------
 
 def _fixed_bar_complex(ring, G, elems, M1: ModuleRep, M2: ModuleRep,
-                       top: int) -> ChainComplex:
+                       top: int, size_guard: int | None) -> ChainComplex:
     """F-fixed normalized bar complex of the element list with
-    coefficients in M1* (x) M2, through degree ``top``.
+    coefficients in M1* (x) M2, through degree ``top``.  Raises
+    SizeGuardExceeded before building anything when the top cochain
+    space, len(elems)^top x rank(M1) rank(M2) cells, exceeds the guard
+    (DEFAULT_SIZE_GUARD when None).
 
     An m-tuple of element indices is coded in base nd, first index most
     significant (the itertools.product order), so the faces of all orbit
@@ -87,10 +91,14 @@ def _fixed_bar_complex(ring, G, elems, M1: ModuleRep, M2: ModuleRep,
     D, F = G.D, M1.F
     assert F is M2.F and F.order_of[0] == 1, "modules over one subgroup"
     rc, nd, dt, pN = M1.rank * M2.rank, len(elems), ring.dtype, ring.pN
+    guard = DEFAULT_SIZE_GUARD if size_guard is None else size_guard
+    if nd ** top * rc > guard:
+        raise SizeGuardExceeded(
+            f"bar complex size ({nd}^{top} x {rc}) exceeds the guard {guard}")
     # E_f on M1* (x) M2, built for the f at hand: the dual acts by
     # inverse transposes
-    dual = M1.array()[np.array(F.inverse, dtype=np.intp)].swapaxes(1, 2)
-    right = M2.array()
+    dual = M1.mats[np.array(F.inverse, dtype=np.intp)].swapaxes(1, 2)
+    right = M2.mats
     dchars = [a.inverse().mul(b) for a in M1.dchars for b in M2.dchars]
     idx = {e: i for i, e in enumerate(elems)}
     perms = np.array([[idx[G.action.apply(M1.embed[f], e)] for e in elems]
@@ -198,14 +206,8 @@ def ext_oracle(G, M1: ModuleRep, M2: ModuleRep, degrees, R: ChainRing, *,
     bound = smith_bound(G.D, R)
     if elems is None:
         elems = G.D.elements()[1:]
-    guard = size_guard if size_guard is not None else DEFAULT_SIZE_GUARD
-    rc = M1.rank * M2.rank
-    top = max(max(degrees), 1)
-    if (len(elems) ** top) * rc > guard:
-        raise SizeGuardExceeded(
-            f"bar complex size ({len(elems)}^{top} x {rc}) exceeds "
-            f"the guard {guard}")
-    cx = _fixed_bar_complex(R, G, elems, M1, M2, top)
+    cx = _fixed_bar_complex(R, G, elems, M1, M2, max(max(degrees), 1),
+                            size_guard)
     out = {}
     for i in degrees:
         free, tors = homology_of_complex(cx, i, bound=bound, acyclic=True)
@@ -258,21 +260,25 @@ def abelian_context(p: int, orders: tuple[int, ...]) -> BlockContext:
 def rank1_rep(ctx: BlockContext, lam: LinearChar, ring: ChainRing) -> ModuleRep:
     """The line O_lam with trivial E-action (pure-D contexts)."""
     E = ctx.G.E
-    emats = [((ring.one,),) for _ in range(E.n)]
-    return ModuleRep(ring, E, list(range(E.n)), [lam], emats, "line")
+    return ModuleRep(ring, E, list(range(E.n)), [lam],
+                     np.broadcast_to(ring.one, (E.n, 1, 1, ring.dim)))
 
 
 def ext_abelian_oracle(D: AbelianPGroup, lam1: LinearChar, lam2: LinearChar,
                        i: int, *, precision: int | None = None) -> OModuleClass:
-    """Oracle Ext over D alone; memoized on the character quotient."""
+    """Oracle Ext over D alone; memoized on the character quotient.  A
+    precision below 1 is refused."""
     ctx = abelian_context(D.p, tuple(D.orders))
     Dc = ctx.G.D
     mu = lam1.inverse().mul(lam2)
-    N = precision or default_precision(max(D.orders, default=0))
+    N = default_precision(max(D.orders, default=0)) if precision is None \
+        else precision
     key = ("abelian", mu.vec, i, N)
     out = ctx.cache.get(key)
     if out is not None:
         return out
+    if N < 1:
+        raise BlockExtError(f"precision {N} is below 1")
     R = chain_ring(D.p, N, max(D.orders, default=0), 1)
     triv = LinearChar(Dc, (0,) * Dc.t)
     m = LinearChar(Dc, mu.vec)
@@ -295,11 +301,9 @@ def _shapiro_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
     G = ctx.G
     pivot = c1 if via == 1 else c2
     other = c2 if via == 1 else c1
-    stab, embed = pivot.stab, pivot.stab_embed
-    line = ModuleRep(R, stab, list(embed), [pivot.lam] * pivot.chi.degree(),
-                     _vchi_matrices(R, stab, pivot.chi), "vchi")
-    res = build_module_rep(ctx, other, R).restrict_to(stab, list(embed),
-                                                      list(embed))
+    line = vchi_rep(ctx, pivot, R)
+    res = build_module_rep(ctx, other, R).restrict_to(
+        line.F, list(line.embed), list(line.embed))
     M1, M2 = (line, res) if via == 1 else (res, line)
     return ext_oracle(G, M1, M2, (i,), R,
                       size_guard=ctx.options.get("size_guard"))[i]
@@ -399,24 +403,16 @@ def _reduce_rep(rep: ModuleRep, ring0: ChainRing) -> ModuleRep:
     field (p-power roots of unity are 1 mod pi)."""
     big = rep.ring
     triv = LinearChar(rep.dchars[0].group, (0,) * rep.dchars[0].group.t)
-    emats = [tuple(tuple(big.to_residue(a) for a in row) for row in M)
-             for M in rep.emats]
     return ModuleRep(ring0, rep.F, list(rep.embed), [triv] * rep.rank,
-                     emats, f"modp({rep.provenance})")
+                     rep.mats[..., ::big.e] % big.p)
 
 
 def _modp_dim_ext1(ctx: BlockContext, rep1: ModuleRep,
                    rep2: ModuleRep) -> int:
     """dim_k Ext^1_kG of two reductions: H^1 of the E-fixed bar complex
     over the residue field (higher E-cohomology vanishes, |E| prime to p)."""
-    G = ctx.G
-    ring0 = rep1.ring
-    elems = G.D.elements()[1:]
-    guard = ctx.options.get("size_guard") or DEFAULT_SIZE_GUARD
-    rc = rep1.rank * rep2.rank
-    if (len(elems) ** 2) * rc > guard:
-        raise SizeGuardExceeded("mod-p bar complex exceeds the size guard")
-    cx = _fixed_bar_complex(ring0, G, elems, rep1, rep2, 2)
+    cx = _fixed_bar_complex(rep1.ring, ctx.G, ctx.G.D.elements()[1:], rep1,
+                            rep2, 2, ctx.options.get("size_guard"))
     free, tors = homology_of_complex(cx, 1, bound=0, acyclic=False)
     assert not tors, "residue field homology cannot carry torsion"
     return free
@@ -433,13 +429,18 @@ def ext1_modp(ctx: BlockContext, c1: BlockCharacter,
 
 
 def simple_rep(ctx: BlockContext, psi_index: int, ring0: ChainRing) -> ModuleRep:
-    """The simple kG-module of a Brauer character: D acts trivially."""
-    E = ctx.G.E
-    psi = brauer_chars(ctx)[psi_index]
-    wm = _vchi_matrices(ring0, E, psi)
-    triv = LinearChar(ctx.G.D, (0,) * ctx.G.D.t)
-    return ModuleRep(ring0, E, list(range(E.n)), [triv] * psi.degree(), wm,
-                     f"simple({psi_index})")
+    """The simple kG-module of a Brauer character: D acts trivially.
+    Built once per ring, then read from the block's cache."""
+    key = ("simple", psi_index, ring0.key())
+    rep = ctx.cache.get(key)
+    if rep is None:
+        E = ctx.G.E
+        psi = brauer_chars(ctx)[psi_index]
+        triv = LinearChar(ctx.G.D, (0,) * ctx.G.D.t)
+        rep = ModuleRep(ring0, E, list(range(E.n)), [triv] * psi.degree(),
+                        _vchi_matrices(ring0, E, psi))
+        ctx.cache[key] = rep
+    return rep
 
 
 def ext1_modp_simples(ctx: BlockContext, a: int, b: int) -> int:

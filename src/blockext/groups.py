@@ -458,9 +458,10 @@ class BlockContext:
 
     options are the user's settings, held read-only.  cache holds what is
     derived once per block and reused: Irr(B) under "irr_B", IBr(B) under
-    "ibr", module representations under tuple keys tagged "module", and
-    Ext classes under tuple keys tagged "ext" (block pairs) or "abelian"
-    (the pure contexts of ext_abelian_oracle).
+    "ibr", module representations under tuple keys tagged "module"
+    (induced), "vchi" (the lines they are induced from) and "simple" (mod
+    p), and Ext classes under tuple keys tagged "ext" (block pairs) or
+    "abelian" (the pure contexts of ext_abelian_oracle).
     """
 
     G: SemidirectGroup

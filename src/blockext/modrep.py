@@ -2,11 +2,13 @@
 
 Every module handled here restricts to D as a direct sum of rank-1
 characters, so a ModuleRep keeps the D-action as a list of LinearChars
-(one per basis vector) and explicit matrices only for the p'-part.  V_chi
-for linear chi is a rank-1 line; for chi(1) > 1 it is split out of the
+(one per basis vector) and the F-action as one read-only element array
+of shape (F.n, rank, rank, dim), one matrix per element of F.  V_chi for
+linear chi is a rank-1 line; for chi(1) > 1 it is split out of the
 regular module by the central idempotent e_chi refined with a cyclic
 eigen-idempotent.  Induction to G is the usual block construction along
-coset representatives.
+coset representatives.  Lines and induced modules are built once per
+block and ring and kept in BlockContext.cache.
 """
 
 from __future__ import annotations
@@ -24,25 +26,19 @@ class ModuleRep:
     """A G = D x| F module: diagonal D-characters plus F-matrices."""
 
     def __init__(self, ring: ChainRing, F: FiniteGroup, embed: list[int],
-                 dchars: list[LinearChar], emats, provenance: str):
+                 dchars: list[LinearChar], mats):
         self.ring = ring
         self.F = F
         self.embed = embed          # F's element indices inside the parent E
         self.dchars = tuple(dchars)
-        self.emats = tuple(emats)   # one rank x rank matrix per F element
         self.rank = len(self.dchars)
-        self.provenance = provenance
-        assert len(self.emats) == F.n
-
-    def array(self) -> np.ndarray:
-        """The F-matrices as an element array (F.n, rank, rank, dim)."""
-        R = self.ring
-        return np.array(self.emats, dtype=R.dtype).reshape(
-            self.F.n, self.rank, self.rank, R.dim)
+        self.mats = np.array(mats, dtype=ring.dtype)  # (F.n, rank, rank, dim)
+        self.mats.flags.writeable = False
+        assert self.mats.shape == (F.n, self.rank, self.rank, ring.dim)
 
     def verify(self, G: SemidirectGroup):
         """Cayley relations and the semidirect compatibility, exactly."""
-        R, M = self.ring, self.array()
+        R, M = self.ring, self.mats
         prods = R.matmul(M[:, None], M[None, :])
         if not np.array_equal(prods, M[np.array(self.F.table)]):
             raise BlockExtError("module matrices violate the Cayley table")
@@ -62,21 +58,11 @@ class ModuleRep:
                         "module violates the semidirect relation")
         return True
 
-    def tensor(self, other: "ModuleRep") -> "ModuleRep":
-        assert self.F is other.F and self.ring is other.ring
-        R = self.ring
-        dchars = [a.mul(b) for a in self.dchars for b in other.dchars]
-        emats = [tuple(tuple(map(tuple, row)) for row in M.tolist())
-                 for M in kron_array(R, self.array(), other.array())]
-        return ModuleRep(R, self.F, self.embed, dchars, emats,
-                         f"({self.provenance})x({other.provenance})")
-
     def restrict_to(self, sub: FiniteGroup, sub_embed_in_F: list[int],
                     parent_embed: list[int]) -> "ModuleRep":
         """Restriction along a subgroup of F given by F-indices."""
-        emats = [self.emats[i] for i in sub_embed_in_F]
-        return ModuleRep(self.ring, sub, parent_embed, self.dchars, emats,
-                         f"res({self.provenance})")
+        return ModuleRep(self.ring, sub, parent_embed, self.dchars,
+                         self.mats[sub_embed_in_F])
 
 
 def kron_array(ring: ChainRing, A, B) -> np.ndarray:
@@ -87,93 +73,73 @@ def kron_array(ring: ChainRing, A, B) -> np.ndarray:
                            ).reshape(len(A), n, n, ring.dim)
 
 
-def _embed_char_values(ring, F, chi: ClassFunction):
-    return [ring.embed_cyclo(chi.values[F.class_of[g]]) for g in range(F.n)]
+def _vchi_matrices(ring, F: FiniteGroup, chi: ClassFunction) -> np.ndarray:
+    """Matrices (F.n, deg, deg, dim) of V_chi over the chain ring, split
+    out of the regular module.
 
-
-def _vchi_matrices(ring, F: FiniteGroup, chi: ClassFunction):
-    """Matrices of V_chi over the chain ring; regular-module idempotent."""
-    deg = chi.degree()
+    On the regular module sum_g w_g g has matrix entry (y, x) = w[y x^-1],
+    and g sends a vector v to v[g^-1 y]: both are gathers over F.table.
+    The columns of e_chi e_eta, e_eta running over the eigen-idempotents
+    of a maximal cyclic subgroup, are tried in order; the first whose
+    translates have a free basis of rank deg spans V_chi."""
+    n, deg, dt = F.n, chi.degree(), ring.dtype
+    vals = np.array([ring.embed_cyclo(chi.values[F.class_of[g]])
+                     for g in range(n)], dtype=dt)
     if deg == 1:
-        vals = _embed_char_values(ring, F, chi)
-        return [((v,),) for v in vals]
-    n = F.n
-    inv_n = ring.inv(ring.from_int(n))
-    chi_vals = _embed_char_values(ring, F, chi)
-    # e_chi = (deg/|F|) sum chi(g^-1) g on the regular module
-    def idem_cols(weights):
-        cols = [[ring.zero] * n for _ in range(n)]
-        for g in range(n):
-            w = weights[g]
-            if w == ring.zero:
-                continue
-            for x in range(n):
-                y = F.table[g][x]
-                cols[x][y] = ring.add(cols[x][y], w)
-        return cols
-    w_chi = [ring.mul(ring.mul(ring.from_int(deg), inv_n),
-                      chi_vals[F.inverse[g]]) for g in range(n)]
-    e_chi = idem_cols(w_chi)
-    # refine with a linear eigen-idempotent of a maximal cyclic subgroup
+        return vals.reshape(n, 1, 1, ring.dim)
+    T = np.array(F.table, dtype=np.intp)
+    inv = np.array(F.inverse, dtype=np.intp)
+    quot, act = T[:, inv], T[inv]  # y x^-1; g^-1 y
+    c0 = ring.mul(ring.from_int(deg), ring.inv(ring.from_int(n)))
+    e_chi = ring.mul_arrays(vals[inv], np.array(c0, dtype=dt))[quot]
     c = max(range(n), key=lambda g: F.order_of[g])
     corder = F.order_of[c]
     powers = [0]
     while len(powers) < corder:
         powers.append(F.table[powers[-1]][c])
-    zc = ring.zeta_elt(corder)
-    inv_c = ring.inv(ring.from_int(corder))
-    def translate(g, v):
-        tv = [ring.zero] * n
-        for x in range(n):
-            if v[x] != ring.zero:
-                tv[F.table[g][x]] = v[x]
-        return tuple(tv)
-
+    # eta_s(c^k) / corder = zeta^(-s k) / corder
+    inv_c = np.array(ring.inv(ring.from_int(corder)), dtype=dt)
+    zpow = ring.mul_arrays(ring.root_powers(corder), inv_c)
     for s in range(corder):
-        w_eta = [ring.zero] * n
-        for k, gk in enumerate(powers):
-            w_eta[gk] = ring.mul(inv_c, ring.power(zc, (-s * k) % corder))
-        e_eta = idem_cols(w_eta)
+        w_eta = np.zeros((n, ring.dim), dtype=dt)
+        w_eta[powers] = zpow[-s * np.arange(corder) % corder]
+        idem = ring.matmul(e_chi, w_eta[quot])
         for x0 in range(n):
-            v = tuple(sum_entries(ring, e_chi, e_eta, x0, y) for y in range(n))
-            if all(a == ring.zero for a in v):
+            v = idem[:, x0]
+            if not v.any():
                 continue
-            translates = [translate(g, v) for g in range(n)]
+            translates = v[act]  # row g is g . v
             kept, L = free_basis(ring, translates)
             if len(kept) != deg:
                 continue
-            basis = [translates[i] for i in kept]
-            B = np.array(basis, dtype=ring.dtype).transpose(1, 0, 2)
-            emats = []
-            for g in range(n):
-                images = np.array([translate(g, b) for b in basis],
-                                  dtype=ring.dtype).transpose(1, 0, 2)
-                coords = ring.matmul(L, images)
-                if not np.array_equal(ring.matmul(B, coords), images):
-                    raise IdempotentNotSplit(
-                        "vector does not lie in the split summand")
-                emats.append(tuple(tuple(map(tuple, row))
-                                   for row in coords.tolist()))
-            for g in range(n):
-                tr = ring.zero
-                for i in range(deg):
-                    tr = ring.add(tr, emats[g][i][i])
-                if tr != chi_vals[g]:
-                    raise IdempotentNotSplit(
-                        "split summand has the wrong character")
-            return emats
+            B = translates[kept].swapaxes(0, 1)
+            images = B[act]  # g . B for every g
+            mats = ring.matmul(L, images)
+            if not np.array_equal(ring.matmul(B, mats), images):
+                raise IdempotentNotSplit(
+                    "vector does not lie in the split summand")
+            if not np.array_equal(
+                    mats[:, range(deg), range(deg)].sum(axis=1) % ring.pN,
+                    vals):
+                raise IdempotentNotSplit(
+                    "split summand has the wrong character")
+            return mats
     raise IdempotentNotSplit(
         "no free splitting of the chi-isotypic ideal was found")
 
 
-def sum_entries(ring, A_cols, B_cols, x, y):
-    """(A.B) entry (y, x) for column-form operators on the regular module."""
-    acc = ring.zero
-    for z in range(len(A_cols)):
-        a = B_cols[x][z]
-        if a != ring.zero and A_cols[z][y] != ring.zero:
-            acc = ring.add(acc, ring.mul(A_cols[z][y], a))
-    return acc
+def vchi_rep(ctx: BlockContext, c: BlockCharacter,
+             ring: ChainRing) -> ModuleRep:
+    """lam (x) V_chi over D x| E_lam, the module M_c is induced from;
+    built once per ring, then read from the block's cache."""
+    key = ("vchi", c.key(), ring.key())
+    rep = ctx.cache.get(key)
+    if rep is None:
+        rep = ModuleRep(ring, c.stab, list(c.stab_embed),
+                        [c.lam] * c.chi.degree(),
+                        _vchi_matrices(ring, c.stab, c.chi))
+        ctx.cache[key] = rep
+    return rep
 
 
 def build_module_rep(ctx: BlockContext, c: BlockCharacter,
@@ -194,32 +160,22 @@ def build_module_rep(ctx: BlockContext, c: BlockCharacter,
             continue
         reps.append(g)
         covered.update(E.table[g][h] for h in c.stab_embed)
-    k = len(reps)
     pos_stab = {e: i for i, e in enumerate(c.stab_embed)}
-    wmats = _vchi_matrices(ring, c.stab, c.chi)
+    W = vchi_rep(ctx, c, ring).mats
     deg = c.chi.degree()
-    rank = k * deg
-    dchars = []
-    for t in reps:
-        conj = G.action.on_char(t, c.lam)
-        dchars.extend([conj] * deg)
-    zero_block = tuple(tuple(ring.zero for _ in range(deg)) for _ in range(deg))
-    emats = []
+    dchars = [G.action.on_char(t, c.lam) for t in reps for _ in range(deg)]
+    mats = np.zeros((E.n, len(dchars), len(dchars), ring.dim),
+                    dtype=ring.dtype)
     for e in range(E.n):
-        # e . t_i = t_{sigma(i)} h with h in E_lambda
-        M = [[ring.zero] * rank for _ in range(rank)]
+        # e . t_i = t_j h with h in E_lambda: block (j, i) is W(h)
         for i, t in enumerate(reps):
             et = E.table[e][t]
             j = next(a for a, tr in enumerate(reps)
                      if E.table[E.inverse[tr]][et] in stab_set)
             h = E.table[E.inverse[reps[j]]][et]
-            W = wmats[pos_stab[h]]
-            for a in range(deg):
-                for b in range(deg):
-                    M[j * deg + a][i * deg + b] = W[a][b]
-        emats.append(tuple(tuple(row) for row in M))
-    rep = ModuleRep(ring, E, list(range(E.n)), dchars, emats,
-                    f"induced(lam={c.lam.vec})")
+            mats[e, j * deg:(j + 1) * deg, i * deg:(i + 1) * deg] = \
+                W[pos_stab[h]]
+    rep = ModuleRep(ring, E, list(range(E.n)), dchars, mats)
     rep.verify(G)
     ctx.cache[key] = rep
     return rep

@@ -186,8 +186,8 @@ def load_spec(path) -> BlockSpec:
 def to_context(spec: BlockSpec, overrides: dict | None = None) -> BlockContext:
     """Validate and build the block context, options resolved in order
     override > spec file > default.  The context keeps the set ones among
-    precision, enum_bound and size_guard, read-only; a precision below 1
-    is rejected."""
+    precision, enum_bound and size_guard, read-only.  A precision, order
+    bound, enumeration bound or size guard below 1 is rejected."""
     overrides = overrides or {}
 
     def pick(key, default=None):
@@ -195,15 +195,14 @@ def to_context(spec: BlockSpec, overrides: dict | None = None) -> BlockContext:
             return overrides[key]
         return spec.option(key, default)
 
+    for key in ("precision", "order_bound", "enum_bound", "size_guard"):
+        if pick(key) is not None and pick(key) < 1:
+            raise SpecValidationError("bad-spec-file",
+                                      f"{key} {pick(key)} is below 1")
     gens = [(perm, [list(row) for row in action])
             for _, perm, action in spec.generators]
-    order_bound = pick("order_bound", 512)
     G = validate_block_spec(spec.p, list(spec.d_orders), gens,
-                            order_bound=order_bound)
-    precision = pick("precision")
-    if precision is not None and precision < 1:
-        raise SpecValidationError("bad-spec-file",
-                                  f"precision {precision} is below 1")
+                            order_bound=pick("order_bound", 512))
     keys = ("precision", "enum_bound", "size_guard")
     return BlockContext(G, pick("phi_exponent", 1),
                         {k: pick(k) for k in keys if pick(k) is not None})

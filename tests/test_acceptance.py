@@ -23,7 +23,8 @@ from blockext.specfile import load_spec, to_context
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 CORPUS_NAMES = ["example-a", "example-b", "example-c",
-                "c9", "c3x3", "c3x9", "c8", "c4x4", "a4"]
+                "c9", "c3x3", "c3x9", "c8", "c4x4", "a4", "q8-c3xc3",
+                "q8z-c3xc3", "c5x5-c4"]
 
 PURE_CASES = [(3, (2,)), (3, (1, 1)), (3, (1, 2)), (2, (3,)), (2, (2, 2))]
 

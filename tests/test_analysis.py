@@ -79,6 +79,8 @@ def test_quiver_examples(example_a, example_c):
 def test_enumeration_bound(example_b):
     with pytest.raises(EnumerationBoundExceeded):
         enumerate_good_sets(example_b, enum_bound=2)
+    with pytest.raises(EnumerationBoundExceeded, match="bound 0"):
+        enumerate_good_sets(example_b, enum_bound=0)  # 0 is a bound too
 
 
 def test_assumption_gate():

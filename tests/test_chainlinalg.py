@@ -31,17 +31,11 @@ def cyclic_bar_complex(ring, q, mu_exp, length):
     ranks = [len(b) for b in bases]
     diffs = []
     for m in range(length):
-        d: dict = {}
+        d = np.zeros((ranks[m + 1], ranks[m], ring.dim), dtype=ring.dtype)
 
         def put(row, tau, coeff, m=m, d=d):
             col = index[m][tau]
-            key = (row, col)
-            cur = d.get(key, ring.zero)
-            new = ring.add(cur, coeff)
-            if new == ring.zero:
-                d.pop(key, None)
-            else:
-                d[key] = new
+            d[row, col] = ring.add(tuple(d[row, col]), coeff)
 
         for r, sigma in enumerate(bases[m + 1]):
             put(r, sigma[1:], rho[sigma[0]])
@@ -96,7 +90,7 @@ def test_homology_class_and_reverify():
     # d = 3 over Z/9: exponent 1 is reported under bound 1, and under
     # bound 0 the nonzero residue breaks the certificate
     R = chain_ring(3, 2, 0, 1)
-    cx = ChainComplex(R, [1, 1], [{(0, 0): R.from_int(3)}])
+    cx = ChainComplex(R, [1, 1], [array(R, [[R.from_int(3)]])])
     assert homology_of_complex(cx, 1, bound=1, acyclic=True) == (0, [1])
     with pytest.raises(PrecisionUnstable, match="exponent 1") as err:
         homology_of_complex(cx, 1, bound=0, acyclic=True)
@@ -126,9 +120,11 @@ def test_snf_chain_ring():
 def test_verify_catches_broken_complex():
     R = chain_ring(3, 4, 1, 1)
     cx = cyclic_bar_complex(R, 3, 0, 3)
-    cx.diffs[1][(0, 0)] = R.add(cx.diffs[1].get((0, 0), R.zero), R.one)
-    with pytest.raises(BlockExtError):
-        cx.verify()
+    d1 = cx.matrix(1).copy()
+    d1[0, 0] = R.add(tuple(d1[0, 0]), R.one)
+    broken = ChainComplex(R, cx.ranks, [cx.matrix(0), d1, cx.matrix(2)])
+    with pytest.raises(BlockExtError, match="d o d"):
+        broken.verify()
 
 
 def test_chain_matrix_mul():
@@ -262,7 +258,8 @@ def test_smith_residue_names_ring():
 def test_negative_free_rank_names_ring():
     R = chain_ring(3, 4, 0, 1)
     # not a complex: d1 d0 != 0, so the ranks cannot add up
-    cx = ChainComplex(R, [1, 1, 1], [{(0, 0): R.one}, {(0, 0): R.one}])
+    one = array(R, [[R.one]])
+    cx = ChainComplex(R, [1, 1, 1], [one, one])
     with pytest.raises(PrecisionUnstable) as err:
         homology_of_complex(cx, 1, bound=0)
     assert str(R.key()) in str(err.value)
@@ -272,11 +269,18 @@ def test_negative_free_rank_names_ring():
 def test_array_built_complex_exposes_dicts(shape):
     R = chain_ring(*shape)  # the second is stored in uint64, run as objects
     cx = cyclic_bar_complex(R, 3, 0, 3)
-    arrays = ChainComplex(R, cx.ranks, [cx.matrix(i) for i in range(3)])
-    assert arrays.diffs == cx.diffs
-    assert [homology_of_complex(arrays, i, bound=R.e) for i in range(3)] == \
-        [homology_of_complex(cx, i, bound=R.e) for i in range(3)] == \
+    assert cx.diffs == [_sparse(cx.matrix(i)) for i in range(3)]
+    assert cx.diffs[0] == {}  # d^0 vanishes on trivial coefficients
+    assert [homology_of_complex(cx, i, bound=R.e) for i in range(3)] == \
         [(1, []), (0, []), (0, [R.e])]
-    arrays.diffs[1][(0, 0)] = R.add(arrays.diffs[1].get((0, 0), R.zero), R.one)
-    with pytest.raises(BlockExtError):
-        arrays.verify()
+    # the sparse view is derived: editing it changes nothing
+    cx.diffs[1][(0, 0)] = R.one
+    cx.verify()
+    with pytest.raises(ValueError, match="read-only"):
+        cx.matrix(1)[0, 0] = 1
+
+
+def test_dict_differentials_are_rejected():
+    R = chain_ring(3, 4, 0, 1)
+    with pytest.raises(TypeError, match="element arrays"):
+        ChainComplex(R, [1, 1], [{(0, 0): R.one}])

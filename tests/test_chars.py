@@ -24,8 +24,7 @@ from blockext.groups import (BlockContext, FiniteGroup, build_group,
 from blockext.specfile import load_spec, to_context
 
 ROOT = Path(__file__).resolve().parent.parent
-SPECS = sorted((ROOT / "corpus").glob("*.blockspec")) + [
-    ROOT / "perfbench" / "specs" / "q8-c3xc3.blockspec"]
+SPECS = sorted((ROOT / "corpus").glob("*.blockspec"))
 
 C4 = (1, 2, 3, 0)
 QI = (2, 3, 1, 0, 6, 7, 5, 4)

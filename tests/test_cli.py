@@ -124,6 +124,46 @@ def test_enum_bound_exits_3(capsys):
     assert main(["goodsets", SPEC_B, "--enum-bound", "2"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["goodsets", SPEC_B, "--enum-bound=0"],
+    ["goodsets", SPEC_B, "--enum-bound=-5"],
+    ["ext", SPEC_A, "0", "1", "--size-guard=0"],
+    ["validate", SPEC_A, "--order-bound=0"]])
+def test_bound_below_one_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert "below 1" in capsys.readouterr().err
+
+
+def test_verify_reports_bounds_and_exits_3(capsys):
+    # every check that builds a bar complex meets the guard; the ones
+    # after ext_sweep still run
+    code, doc = run(capsys, "verify", str(CORPUS / "q8-c3xc3.blockspec"),
+                    "--size-guard=1")
+    assert code == 3 and not doc["passed"]
+    status = {c["name"]: c["status"] for c in doc["specs"][0]["checks"]}
+    assert status == {"validate": "pass", "chars": "pass", "golden": "pass",
+                      "ext_sweep": "bound", "uct": "bound", "quiver": "bound",
+                      "forcing": "bound", "cyclotomic": "pass"}
+
+
+def test_verify_builds_each_line_once_per_ring(capsys, monkeypatch):
+    # V_chi lines and simple modules come from the block cache after the
+    # first build
+    from blockext import extengine, modrep
+    built = []
+    orig = modrep._vchi_matrices
+
+    def counted(ring, F, chi):
+        built.append((id(F), id(chi), ring.key()))
+        return orig(ring, F, chi)
+    monkeypatch.setattr(modrep, "_vchi_matrices", counted)
+    monkeypatch.setattr(extengine, "_vchi_matrices", counted)
+    code, _ = run(capsys, "verify", str(CORPUS / "q8-c3xc3.blockspec"))
+    assert code == 0
+    assert len({k[2] for k in built}) == 2  # the block and residue rings
+    assert len(built) == len(set(built))
+
+
 def test_goodsets_c3x9(capsys):
     # the D2 side of closed mode needs no degree-3 profile
     code, doc = run(capsys, "goodsets", str(CORPUS / "c3x9.blockspec"))

@@ -121,6 +121,26 @@ def test_size_guard_trips():
         ext_oracle(ctx.G, M, M, (2,), R, size_guard=10)
 
 
+def test_size_guard_zero_is_a_guard(example_a):
+    # both the Ext oracle and the mod-p dimensions read the guard
+    ctx = BlockContext(example_a.G, 1, {"size_guard": 0})
+    irr = build_irr_B(ctx)
+    with pytest.raises(SizeGuardExceeded, match="guard 0"):
+        ext_block(ctx, irr[0], irr[1], 2)
+    with pytest.raises(SizeGuardExceeded, match="guard 0"):
+        ext1_modp(ctx, irr[0], irr[1])
+    with pytest.raises(SizeGuardExceeded, match="guard 0"):
+        ext1_modp_simples(ctx, 0, 1)
+
+
+def test_abelian_precision_below_one_is_refused():
+    D = abelian_context(3, (2,)).G.D
+    triv = LinearChar(D, (0,))
+    for N in (0, -1):
+        with pytest.raises(BlockExtError, match="below 1"):
+            ext_abelian_oracle(D, triv, triv, 2, precision=N)
+
+
 # -- block dispatch -------------------------------------------------------
 
 def test_example_a_crosscheck_full(example_a):

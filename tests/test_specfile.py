@@ -41,7 +41,8 @@ def test_round_trip():
 
 
 @pytest.mark.parametrize("name", ["example-a", "example-b", "example-c",
-                                  "c9", "c3x3", "c3x9", "c8", "c4x4", "a4"])
+                                  "c9", "c3x3", "c3x9", "c8", "c4x4", "a4",
+                                  "q8-c3xc3", "q8z-c3xc3", "c5x5-c4"])
 def test_corpus_round_trip(name):
     s = load_spec(CORPUS / f"{name}.blockspec")
     assert s.name == name
