@@ -114,8 +114,7 @@ def free_basis(ring: ChainRing, vectors):
         units = np.flatnonzero(ring.valuations(r) == 0)
         if not units.size:
             continue
-        inv = np.array(ring.inv(tuple(int(c) for c in r[units[0]])),
-                       dtype=ring.dtype)
+        inv = ring.inv(r[units[0]])
         r = ring.mul_arrays(r, inv)
         t = np.concatenate([-ring.mul_arrays(ring.matmul(f[None], T)[0], inv),
                             inv[None]]) % pN
@@ -159,9 +158,7 @@ def _smith_exponents(ring: ChainRing, A, bound: int) -> list[int]:
         rows = rows[rows != i0]
         V[i0] = cap  # the pivot row retires
         if rows.size:
-            unit = ring.div_pi_power(A[i0, j0], v0)
-            inv = np.array(ring.inv(tuple(int(c) for c in unit)),
-                           dtype=ring.dtype)
+            inv = ring.inv(ring.div_pi_power(A[i0, j0], v0))
             cols = np.flatnonzero((A[i0] != 0).any(axis=-1))
             prow = A[i0, cols]
             for part in np.array_split(rows,
@@ -217,15 +214,12 @@ class ChainComplex:
     def verify(self):
         """Check d o d = 0; raises on violation."""
         for i in range(len(self._d) - 1):
-            lo, hi = self._d[i], self._d[i + 1]
-            step = max(1, BLOCK // max(1, hi.shape[1] * hi.shape[2]))
-            for at in range(0, len(hi), step):
-                dd = self.ring.matmul(hi[at:at + step], lo)
-                bad = np.argwhere((dd != 0).any(axis=-1))
-                if len(bad):
-                    raise BlockExtError(
-                        f"d o d != 0 at positions {i},{i + 1}, "
-                        f"entry {(at + int(bad[0, 0]), int(bad[0, 1]))}")
+            dd = self.ring.matmul(self._d[i + 1], self._d[i])
+            bad = np.argwhere((dd != 0).any(axis=-1))
+            if len(bad):
+                raise BlockExtError(
+                    f"d o d != 0 at positions {i},{i + 1}, "
+                    f"entry {tuple(bad[0].tolist())}")
         return True
 
 

@@ -15,10 +15,21 @@ degree e = phi(p^a).  The class of x is a primitive m'-th root of unity, and
 y = 1 + z is a primitive p^a-th root, so pi = y - 1 = z generates the maximal
 ideal (pi = p when a = 0) and pi^(N*e) = 0.
 
-Elements are flat tuples of f*e integers in [0, p^N): entry i*e + j is the
-coefficient of x^i z^j.  In this basis the pi-adic valuation can be read off
-directly: v_pi(sum_j s_j(x) z^j) = min_j (j + e * v_p(s_j)) because the terms
-have pairwise distinct valuations mod e.  That makes exact unit/pi^k
+An element is a numpy array of shape (dim,), dim = f*e, in the ring's
+dtype: entry i*e + j is the coefficient of x^i z^j, reduced into [0, p^N).
+Arrays of shape (..., dim) hold many elements, and every operation is
+batched over the leading axes.  As a Z/p^N-algebra the ring is the tensor
+product (Z/p^N)[x]/h (x) (Z/p^N)[z]/Psi, and x^i z^j is the tensor basis,
+so multiplication by x^i z^j acts on coefficient vectors as the Kronecker
+product C_h^i (x) C_Psi^j of powers of the companion matrices.  Stacked,
+these dim operators are the multiplication tensor, and every product goes
+through it.  Elements the ring hands out from an attribute or a per-ring
+memo (zero, one, inv, zeta_elt, mult_tensor) are read-only, so no caller
+can change a later answer.
+
+In this basis the pi-adic valuation can be read off directly:
+v_pi(sum_j s_j(x) z^j) = min_j (j + e * v_p(s_j)) because the terms have
+pairwise distinct valuations mod e.  That makes exact unit/pi^k
 factorization, and hence Smith normal forms, cheap.
 """
 
@@ -140,6 +151,37 @@ def _smallest_factor_modp(mprime: int, p: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# operator matrices
+# ---------------------------------------------------------------------------
+
+def _companion(poly, M, dtype) -> np.ndarray:
+    """Multiplication by t on (Z/M)[t]/poly, poly monic, in the basis
+    1, t, ..., t^(d-1)."""
+    d = len(poly) - 1
+    C = np.zeros((d, d), dtype=dtype)
+    C[range(1, d), range(d - 1)] = 1
+    C[:, -1] = [-c % M for c in poly[:-1]]
+    return C
+
+
+def _matpow(A, n: int, M) -> np.ndarray:
+    """A^n mod M by repeated squaring; a row of A times a column stays
+    below dim (M - 1)^2, which the ring's dtype holds."""
+    out = np.eye(len(A), dtype=A.dtype)
+    while n:
+        if n & 1:
+            out = out @ A % M
+        A = A @ A % M
+        n >>= 1
+    return out
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# ---------------------------------------------------------------------------
 # the chain ring
 # ---------------------------------------------------------------------------
 
@@ -190,34 +232,15 @@ class ChainRing:
         else:
             self.psi = None
 
-        self._x_rows = self._reduction_rows(self.h, self.f)
-        self._z_rows = (self._reduction_rows(self.psi, self.e)
-                        if a >= 1 else None)
-
-        self.zero = tuple([0] * self.dim)
-        one = [0] * self.dim
-        one[0] = 1
-        self.one = tuple(one)
-        self._inv_cache: dict[tuple, tuple] = {}
-        self._embed_cache: dict[int, tuple] = {}
+        # operators of x and z; for a = 0, e = 1 and only C_z^0 is used
+        self._cx = _companion(self.h, self.pN, self.dtype)
+        self._cz = _companion(self.psi or [0, 1], self.pN, self.dtype)
+        self.zero = _frozen(np.zeros(self.dim, dtype=self.dtype))
+        self.one = _frozen(self.from_int(1))
+        self._inv_cache: dict[tuple, np.ndarray] = {}
+        self._embed_cache: dict[int, np.ndarray] = {}
         self._mult_tensor = None
         self._vp_table = None
-
-    # -- construction helpers -----------------------------------------
-
-    def _reduction_rows(self, poly, d):
-        """Rows for t^k, k in [d, 2d-1), modulo the monic poly of degree d."""
-        rows = []
-        cur = [(-poly[i]) % self.pN for i in range(d)]
-        rows.append(tuple(cur))
-        for _ in range(d, 2 * d - 2):
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                for i in range(d):
-                    cur[i] = (cur[i] - top * poly[i]) % self.pN
-            rows.append(tuple(cur))
-        return rows
 
     def key(self):
         return (self.p, self.N, self.a, self.mprime)
@@ -226,27 +249,25 @@ class ChainRing:
         return (f"ChainRing(p={self.p}, N={self.N}, a={self.a}, "
                 f"m'={self.mprime}; f={self.f}, e={self.e})")
 
-    # -- element basics -----------------------------------------------
+    # -- single elements ------------------------------------------------
 
-    def from_int(self, n: int) -> tuple:
-        out = [0] * self.dim
-        out[0] = n % self.pN
-        return tuple(out)
-
-    def monomial(self, i: int, j: int, c: int = 1) -> tuple:
-        out = [0] * self.dim
+    def monomial(self, i: int, j: int, c: int = 1) -> np.ndarray:
+        out = np.zeros(self.dim, dtype=self.dtype)
         out[i * self.e + j] = c % self.pN
-        return tuple(out)
+        return out
+
+    def from_int(self, n: int) -> np.ndarray:
+        return self.monomial(0, 0, n)
 
     @property
-    def x_elt(self) -> tuple:
+    def x_elt(self) -> np.ndarray:
         # for f = 1 the class of x is the root -h[0] of the linear factor
         if self.f > 1:
             return self.monomial(1, 0)
         return self.from_int(-self.h[0])
 
     @property
-    def z_elt(self) -> tuple:
+    def z_elt(self) -> np.ndarray:
         if self.a == 0:
             raise ValueError("no ramified part when a = 0")
         # for e = 1 the class of z is the root -psi[0] of Psi(z) = z + p
@@ -255,190 +276,55 @@ class ChainRing:
         return self.from_int(-self.psi[0])
 
     @property
-    def pi(self) -> tuple:
+    def pi(self) -> np.ndarray:
         return self.z_elt if self.a >= 1 else self.from_int(self.p)
 
-    def add(self, u, v) -> tuple:
-        pN = self.pN
-        return tuple((a + b) % pN for a, b in zip(u, v))
-
-    def sub(self, u, v) -> tuple:
-        pN = self.pN
-        return tuple((a - b) % pN for a, b in zip(u, v))
-
-    def neg(self, u) -> tuple:
-        pN = self.pN
-        return tuple((-a) % pN for a in u)
-
-    def smul(self, c: int, u) -> tuple:
-        pN = self.pN
-        c %= pN
-        return tuple((c * a) % pN for a in u)
-
-    def mul(self, u, v) -> tuple:
-        f, e, pN = self.f, self.e, self.pN
-        W = [[0] * (2 * e - 1) for _ in range(2 * f - 1)]
-        for i in range(f):
-            base = i * e
-            for j in range(e):
-                a = u[base + j]
-                if not a:
-                    continue
-                for i2 in range(f):
-                    b2 = i2 * e
-                    Wrow = W[i + i2]
-                    for j2 in range(e):
-                        b = v[b2 + j2]
-                        if b:
-                            Wrow[j + j2] = (Wrow[j + j2] + a * b) % pN
-        # fold z powers >= e
-        if e > 1:
-            for row in W:
-                for k in range(2 * e - 2, e - 1, -1):
-                    c = row[k]
-                    if c:
-                        row[k] = 0
-                        red = self._z_rows[k - e]
-                        for j in range(e):
-                            if red[j]:
-                                row[j] = (row[j] + c * red[j]) % pN
-        # fold x powers >= f
-        if f > 1:
-            for k in range(2 * f - 2, f - 1, -1):
-                row = W[k]
-                red = self._x_rows[k - f]
-                for j in range(e):
-                    c = row[j]
-                    if c:
-                        row[j] = 0
-                        for i in range(f):
-                            if red[i]:
-                                W[i][j] = (W[i][j] + c * red[i]) % pN
-        out = []
-        for i in range(f):
-            out.extend(W[i][:e])
-        return tuple(c % pN for c in out)
-
-    def power(self, u, n: int) -> tuple:
-        out, base = self.one, u
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
-
-    # -- valuation and unit/pi^k factorization ------------------------
-
-    def _vp(self, c: int) -> int:
-        v = 0
-        while c and c % self.p == 0:
-            c //= self.p
-            v += 1
-        return v
+    def mul(self, u, v) -> np.ndarray:
+        return self.mul_arrays(u, v)
 
     def val(self, u) -> int:
         """pi-adic valuation in [0, cap]; val = cap exactly for zero."""
-        e, f = self.e, self.f
-        best = self.cap
-        for j in range(e):
-            vpj = None
-            for i in range(f):
-                c = u[i * e + j]
-                if c:
-                    v = self._vp(c)
-                    if vpj is None or v < vpj:
-                        vpj = v
-                    if vpj == 0:
-                        break
-            if vpj is not None:
-                best = min(best, j + e * vpj)
-                if best == j:
-                    break
-        return best
+        return int(self.valuations(u))
 
-    def divide_by_pi(self, u) -> tuple:
-        """Some q with pi * q = u, exact; requires val(u) >= 1."""
-        p, pN, e, f = self.p, self.pN, self.e, self.f
-        if self.a == 0:
-            out = []
-            for c in u:
-                if c % p:
-                    raise ValueError("element not divisible by pi")
-                out.append(c // p)
-            return tuple(out)
-        # solve z*q = u coefficientwise in the unramified part:
-        #   q_{e-1} = -s_0/p, q_{j-1} = s_j + q_{e-1} Psi_j
-        out = [0] * self.dim
-        psi = self.psi
-        for i in range(f):
-            base = i * e
-            s0 = u[base]
-            if s0 % p:
-                raise ValueError("element not divisible by pi")
-            qe = (-(s0 // p)) % pN
-            out[base + e - 1] = qe
-            for j in range(1, e):
-                out[base + j - 1] = (u[base + j] + qe * psi[j]) % pN
-        return tuple(out)
-
-    def unit_part(self, u, v: int | None = None) -> tuple:
-        """The unit w with pi^val(u) * w = u, exact."""
-        if v is None:
-            v = self.val(u)
-        if v >= self.cap:
-            raise ValueError("zero has no unit part")
-        r = u
-        for _ in range(v):
-            r = self.divide_by_pi(r)
-        assert self.val(r) == 0
-        return r
-
-    def pi_pow(self, k: int) -> tuple:
-        if k >= self.cap:
-            return self.zero
-        return self.power(self.pi, k)
-
-    def inv(self, u) -> tuple:
-        """Inverse of a unit, by Newton lifting from the residue field."""
-        cached = self._inv_cache.get(u)
-        if cached is not None:
-            return cached
+    def inv(self, u) -> np.ndarray:
+        """Inverse of a unit: Newton's iteration w <- w (2 - u w) from the
+        residue field inverse, which doubles the correct pi-adic digits
+        each step.  Memoized per ring."""
+        key = tuple(u.tolist())
+        w = self._inv_cache.get(key)
+        if w is not None:
+            return w
         if self.val(u) != 0:
             raise ValueError("not a unit")
-        p, e, f = self.p, self.e, self.f
-        res = [u[i * e] % p for i in range(f)]
-        g, s, _ = _pgcd_bezout_modp(res, self.h, p)
+        p, e, pN = self.p, self.e, self.pN
+        g, s, _ = _pgcd_bezout_modp((u[::e] % p).tolist(), self.h, p)
         assert g == [1], "unit has non-invertible residue"
-        w = [0] * self.dim
-        for i, c in enumerate(s):
-            w[i * e] = c % self.pN
-        w = tuple(w)
+        w = np.zeros(self.dim, dtype=self.dtype)
+        w[:len(s) * e:e] = s
+        U = self.mul_table(u)
         for _ in range(self.cap.bit_length() + 2):
-            t = self.mul(u, w)
-            if t == self.one:
+            t = w @ U % pN  # u w
+            if np.array_equal(t, self.one):
                 if len(self._inv_cache) < 1 << 16:
-                    self._inv_cache[u] = w
+                    self._inv_cache[key] = _frozen(w)
                 return w
-            w = self.mul(w, self.sub(self.from_int(2), t))
+            w = self.mul_arrays(w, (2 * self.one - t) % pN)
         raise BlockExtError("unit inversion did not converge")
 
-    def div_dominated(self, b, a) -> tuple:
+    def div_dominated(self, b, a) -> np.ndarray:
         """q with q * a = b, exact; requires val(b) >= val(a)."""
-        va, vb = self.val(a), self.val(b)
-        if vb >= self.cap:
-            return self.zero
-        if vb < va:
+        v = self.val(a)
+        if self.val(b) < v:
             raise ValueError("division by an element of larger valuation")
-        q = self.mul(self.unit_part(b, vb), self.inv(self.unit_part(a, va)))
-        if vb > va:
-            q = self.mul(self.pi_pow(vb - va), q)
-        return q
+        return self.mul(self.div_pi_power(b, v),
+                        self.inv(self.div_pi_power(a, v)))
 
     # -- roots of unity and embeddings --------------------------------
 
-    def zeta_elt(self, m: int) -> tuple:
-        """A primitive m-th root of unity; m must divide p^a * m'."""
+    def zeta_elt(self, m: int) -> np.ndarray:
+        """A primitive m-th root of unity; m must divide p^a * m'.  It is
+        y^(p^(a-j) alpha) x^((m'/d) beta) for m = p^j d, y = 1 + z; each
+        factor is the first column of a power of its operator."""
         cached = self._embed_cache.get(m)
         if cached is not None:
             return cached
@@ -450,51 +336,40 @@ class ChainRing:
             j += 1
         if j > self.a or self.mprime % d:
             raise ValueError(f"no primitive {m}-th root in {self!r}")
-        out = self.one
-        if pj > 1:
-            y = self.add(self.one, self.z_elt)
-            alpha = pow(d, -1, pj)
-            out = self.mul(out, self.power(y, self.p ** (self.a - j) * alpha))
-        if d > 1:
-            beta = pow(pj, -1, d)
-            out = self.mul(out, self.power(self.x_elt, (self.mprime // d) * beta))
+        pN = self.pN
+        xs = _matpow(self._cx, (self.mprime // d) * pow(pj, -1, d), pN)
+        ys = _matpow(self._cz + np.eye(self.e, dtype=self.dtype),
+                     self.p ** (self.a - j) * pow(d, -1, pj), pN)
+        out = _frozen(np.kron(xs[:, 0], ys[:, 0]) % pN)
         self._embed_cache[m] = out
         return out
 
     def root_powers(self, m: int) -> np.ndarray:
         """zeta_m^k for k < m, as an element array."""
-        out = [self.one]
-        for _ in range(m - 1):
-            out.append(self.mul(out[-1], self.zeta_elt(m)))
-        return np.array(out, dtype=self.dtype)
+        Z = self.mul_table(self.zeta_elt(m))
+        out = np.zeros((m, self.dim), dtype=self.dtype)
+        out[0] = self.one
+        for k in range(1, m):
+            out[k] = out[k - 1] @ Z % self.pN
+        return out
 
-    def embed_cyclo(self, value: CycloNumber) -> tuple:
+    def embed_cyclo(self, value: CycloNumber) -> np.ndarray:
         """Ring image of a cyclotomic number with p'-part denominators."""
         den = 1
         for c in value.coeffs:
             den = den * c.denominator // gcd(den, c.denominator)
         if den % self.p == 0:
             raise ValueError("denominator is not prime to p")
-        root = self.zeta_elt(value.m) if value.m > 1 else self.one
-        acc, power = self.zero, self.one
-        for c in value.coeffs:
-            num = c.numerator * (den // c.denominator)
-            if num:
-                acc = self.add(acc, self.smul(num, power))
-            power = self.mul(power, root)
+        nums = np.array([c.numerator * (den // c.denominator) % self.pN
+                         for c in value.coeffs], dtype=self.dtype)
+        powers = self.root_powers(value.m)[:len(nums)]
+        acc = (nums[:, None] * powers % self.pN).sum(axis=0) % self.pN
         if den != 1:
             acc = self.mul(acc, self.inv(self.from_int(den)))
         return acc
 
-    # -- precision and residue maps -----------------------------------
-
     def residue_ring(self) -> "ChainRing":
         return chain_ring(self.p, 1, 0, self.mprime)
-
-    def to_residue(self, u) -> tuple:
-        """Image in the residue field F_{p^f}, killing pi."""
-        e = self.e
-        return tuple(u[i * e] % self.p for i in range(self.f))
 
     # -- element arrays ------------------------------------------------
     #
@@ -504,13 +379,17 @@ class ChainRing:
 
     @property
     def mult_tensor(self) -> np.ndarray:
-        """T with (u*v)[k] = sum_{i,j} u[i] v[j] T[k,i,j] (mod p^N)."""
+        """T with (u*v)[k] = sum_{i,j} u[i] v[j] T[k,i,j] (mod p^N); the
+        slice T[:, i*e + j, :] is C_h^i (x) C_Psi^j, the operator of
+        x^i z^j."""
         if self._mult_tensor is None:
-            monos = [self.monomial(i, j)
-                     for i in range(self.f) for j in range(self.e)]
-            T = np.array([[self.mul(a, b) for b in monos] for a in monos],
-                         dtype=self.dtype).reshape(self.dim, self.dim, -1)
-            self._mult_tensor = np.ascontiguousarray(T.transpose(2, 0, 1))
+            pN = self.pN
+            xs = [_matpow(self._cx, i, pN) for i in range(self.f)]
+            zs = [_matpow(self._cz, j, pN) for j in range(self.e)]
+            ops = np.array([np.kron(X, Z) % pN for X in xs for Z in zs],
+                           dtype=self.dtype)
+            self._mult_tensor = _frozen(
+                np.ascontiguousarray(ops.transpose(1, 0, 2)))
         return self._mult_tensor
 
     def mul_table(self, V) -> np.ndarray:
@@ -528,7 +407,9 @@ class ChainRing:
         return out
 
     def matmul(self, A, B) -> np.ndarray:
-        """Ring matrix product of (..., n, k, dim) and (..., k, m, dim)."""
+        """Ring matrix product of (..., n, k, dim) and (..., k, m, dim).
+        The operators of B are built once; A goes through them in row
+        blocks of about BLOCK elements."""
         k, m, d = B.shape[-3:]
         Bm = np.swapaxes(self.mul_table(B), -3, -2).reshape(
             B.shape[:-3] + (k * d, m * d))
@@ -537,9 +418,13 @@ class ChainRing:
                        + (A.shape[-3], m * d), dtype=self.dtype)
         step = d * (k if self.dtype is object
                     else _I64 // (d * (self.pN - 1) ** 2))
-        for s in range(0, k * d, step):
-            out += (A2[..., s:s + step] @ Bm[..., s:s + step, :]) % self.pN
-            out %= self.pN
+        rows = max(1, BLOCK // max(1, k * d))
+        for r in range(0, A.shape[-3], rows):
+            part = out[..., r:r + rows, :]  # a view: sums land in out
+            for s in range(0, k * d, step):
+                part += (A2[..., r:r + rows, s:s + step]
+                         @ Bm[..., s:s + step, :]) % self.pN
+                part %= self.pN
         return out.reshape(out.shape[:-1] + (m, d))
 
     def valuations(self, A) -> np.ndarray:
@@ -575,7 +460,7 @@ class ChainRing:
         if v % e:
             X = out.reshape(out.shape[:-1] + (self.f, e))
             psi = np.array(self.psi[1:e], dtype=self.dtype)
-            for _ in range(v % e):  # divide_by_pi on every element at once
+            for _ in range(v % e):  # one division by pi, all elements
                 qe = (-(X[..., :1] // p)) % pN
                 X = np.concatenate([(X[..., 1:] + qe * psi) % pN, qe], axis=-1)
             out = X.reshape(A.shape)

@@ -29,7 +29,7 @@ from .groups import LinearChar
 from .omodule import verify_cyclotomic_identity
 from .results import (block_char_obj, class_function_obj, document,
                       ext_class_obj, render)
-from .specfile import load_spec, to_context
+from .specfile import check_bounds, load_spec, to_context
 
 ENV_PREFIX = "BLOCKEXT_"
 
@@ -191,6 +191,7 @@ def _verify_pure(ctx, checks, mode):
     """Closed-form vs oracle over D alone, all ordered character pairs."""
     D = ctx.G.D
     chars = [LinearChar(D, v) for v in D.elements()]
+    opts = {k: ctx.options.get(k) for k in ("precision", "size_guard")}
 
     def sweep():
         bad = 0
@@ -198,7 +199,7 @@ def _verify_pure(ctx, checks, mode):
             for l2 in chars:
                 for i in range(3):
                     if ext_abelian_closed(D, l1, l2, i) != \
-                            ext_abelian_oracle(D, l1, l2, i):
+                            ext_abelian_oracle(D, l1, l2, i, **opts):
                         bad += 1
         if bad:
             raise CrossCheckMismatch(f"{bad} abelian pairs disagree")
@@ -316,6 +317,7 @@ def cmd_verify(args) -> int:
                 "bad-spec-file", f"no .blockspec files in {target}")
     else:
         paths = [target]
+    check_bounds(_overrides(args))
     mode = _mode(args)
     reports = [_verify_one(args, p, mode) for p in paths]
     ok = all(r["passed"] for r in reports)

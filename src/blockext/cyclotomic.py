@@ -21,7 +21,7 @@ def cyclotomic_coeffs(m: int) -> tuple[int, ...]:
         raise ValueError("conductor must be positive")
     x = sympy.Symbol("x")
     poly = sympy.Poly(sympy.cyclotomic_poly(m, x), x)
-    return tuple(int(c) for c in reversed(poly.all_coeffs()))
+    return tuple(map(int, reversed(poly.all_coeffs())))
 
 
 @lru_cache(maxsize=None)

@@ -73,13 +73,21 @@ def block_ring(ctx: BlockContext, precision: int | None = None) -> ChainRing:
 
 # -- the F-fixed bar complex ----------------------------------------------
 
+def _check_size(nd: int, top: int, rc: int, size_guard: int | None) -> None:
+    """Refuse a bar complex whose top cochain space, nd^top x rc cells,
+    exceeds the guard (DEFAULT_SIZE_GUARD when None)."""
+    guard = DEFAULT_SIZE_GUARD if size_guard is None else size_guard
+    if nd ** top * rc > guard:
+        raise SizeGuardExceeded(
+            f"bar complex size ({nd}^{top} x {rc}) exceeds the guard {guard}")
+
+
 def _fixed_bar_complex(ring, G, elems, M1: ModuleRep, M2: ModuleRep,
                        top: int, size_guard: int | None) -> ChainComplex:
     """F-fixed normalized bar complex of the element list with
     coefficients in M1* (x) M2, through degree ``top``.  Raises
     SizeGuardExceeded before building anything when the top cochain
-    space, len(elems)^top x rank(M1) rank(M2) cells, exceeds the guard
-    (DEFAULT_SIZE_GUARD when None).
+    space, len(elems)^top x rank(M1) rank(M2) cells, exceeds the guard.
 
     An m-tuple of element indices is coded in base nd, first index most
     significant (the itertools.product order), so the faces of all orbit
@@ -91,14 +99,10 @@ def _fixed_bar_complex(ring, G, elems, M1: ModuleRep, M2: ModuleRep,
     D, F = G.D, M1.F
     assert F is M2.F and F.order_of[0] == 1, "modules over one subgroup"
     rc, nd, dt, pN = M1.rank * M2.rank, len(elems), ring.dtype, ring.pN
-    guard = DEFAULT_SIZE_GUARD if size_guard is None else size_guard
-    if nd ** top * rc > guard:
-        raise SizeGuardExceeded(
-            f"bar complex size ({nd}^{top} x {rc}) exceeds the guard {guard}")
-    # E_f on M1* (x) M2, built for the f at hand: the dual acts by
-    # inverse transposes
-    dual = M1.mats[np.array(F.inverse, dtype=np.intp)].swapaxes(1, 2)
-    right = M2.mats
+    _check_size(nd, top, rc, size_guard)
+    # E_f on M1* (x) M2 for every f: the dual acts by inverse transposes
+    Ef = kron_array(ring, M1.mats[np.array(F.inverse, dtype=np.intp)]
+                    .swapaxes(1, 2), M2.mats)
     dchars = [a.inverse().mul(b) for a in M1.dchars for b in M2.dchars]
     idx = {e: i for i, e in enumerate(elems)}
     perms = np.array([[idx[G.action.apply(M1.embed[f], e)] for e in elems]
@@ -131,10 +135,9 @@ def _fixed_bar_complex(ring, G, elems, M1: ModuleRep, M2: ModuleRep,
         for s, o in enumerate(stabbed):
             stab = tuple(np.flatnonzero(img[:, reps[o]] == reps[o]).tolist())
             if stab not in fixed:
-                inv_s = np.array(ring.inv(ring.from_int(len(stab))), dtype=dt)
-                avg = sum(kron_array(ring, dual[[f]], right[[f]])[0]
-                          for f in stab) % pN
-                cols = ring.mul_arrays(avg, inv_s).transpose(1, 0, 2)
+                avg = Ef[list(stab)].sum(axis=0) % pN
+                cols = ring.mul_arrays(avg, ring.inv(ring.from_int(len(stab)))
+                                       ).transpose(1, 0, 2)
                 kept, l = free_basis(ring, cols)
                 fixed[stab] = cols[kept].transpose(1, 0, 2), l
             b, l = fixed[stab]
@@ -173,7 +176,7 @@ def _fixed_bar_complex(ring, G, elems, M1: ModuleRep, M2: ModuleRep,
                 h, tcode = hs[at:at + chunk], tgts[at:at + chunk] @ place
                 o = lo["orbit"][tcode]
                 f = lo["via"][tcode]
-                blk = kron_array(ring, dual[f], right[f])  # E_f B_o, scaled
+                blk = Ef[f]  # a copy, made E_f B_o and scaled in place
                 sel = np.flatnonzero(lo["slot"][o] >= 0)
                 blk[sel] = ring.matmul(blk[sel], lo["B"][lo["slot"][o[sel]]])
                 if face == 0:  # row c scales by lambda_c(g0)
@@ -265,9 +268,11 @@ def rank1_rep(ctx: BlockContext, lam: LinearChar, ring: ChainRing) -> ModuleRep:
 
 
 def ext_abelian_oracle(D: AbelianPGroup, lam1: LinearChar, lam2: LinearChar,
-                       i: int, *, precision: int | None = None) -> OModuleClass:
-    """Oracle Ext over D alone; memoized on the character quotient.  A
-    precision below 1 is refused."""
+                       i: int, *, precision: int | None = None,
+                       size_guard: int | None = None) -> OModuleClass:
+    """Oracle Ext over D alone; memoized on the character quotient and
+    the precision.  A precision below 1 is refused, and the size guard is
+    checked on every call, so a memo hit trips it as a miss would."""
     ctx = abelian_context(D.p, tuple(D.orders))
     Dc = ctx.G.D
     mu = lam1.inverse().mul(lam2)
@@ -275,16 +280,17 @@ def ext_abelian_oracle(D: AbelianPGroup, lam1: LinearChar, lam2: LinearChar,
         else precision
     key = ("abelian", mu.vec, i, N)
     out = ctx.cache.get(key)
-    if out is not None:
-        return out
-    if N < 1:
-        raise BlockExtError(f"precision {N} is below 1")
-    R = chain_ring(D.p, N, max(D.orders, default=0), 1)
-    triv = LinearChar(Dc, (0,) * Dc.t)
-    m = LinearChar(Dc, mu.vec)
-    out = ext_oracle(ctx.G, rank1_rep(ctx, triv, R), rank1_rep(ctx, m, R),
-                     (i,), R)[i]
-    ctx.cache[key] = out
+    if out is None:
+        if N < 1:
+            raise BlockExtError(f"precision {N} is below 1")
+        R = chain_ring(D.p, N, max(D.orders, default=0), 1)
+        triv = LinearChar(Dc, (0,) * Dc.t)
+        m = LinearChar(Dc, mu.vec)
+        out = ext_oracle(ctx.G, rank1_rep(ctx, triv, R),
+                         rank1_rep(ctx, m, R), (i,), R,
+                         size_guard=size_guard)[i]
+        ctx.cache[key] = out
+    _check_size(Dc.order - 1, max(i, 1), 1, size_guard)
     return out
 
 

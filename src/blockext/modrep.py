@@ -91,15 +91,15 @@ def _vchi_matrices(ring, F: FiniteGroup, chi: ClassFunction) -> np.ndarray:
     inv = np.array(F.inverse, dtype=np.intp)
     quot, act = T[:, inv], T[inv]  # y x^-1; g^-1 y
     c0 = ring.mul(ring.from_int(deg), ring.inv(ring.from_int(n)))
-    e_chi = ring.mul_arrays(vals[inv], np.array(c0, dtype=dt))[quot]
+    e_chi = ring.mul_arrays(vals[inv], c0)[quot]
     c = max(range(n), key=lambda g: F.order_of[g])
     corder = F.order_of[c]
     powers = [0]
     while len(powers) < corder:
         powers.append(F.table[powers[-1]][c])
     # eta_s(c^k) / corder = zeta^(-s k) / corder
-    inv_c = np.array(ring.inv(ring.from_int(corder)), dtype=dt)
-    zpow = ring.mul_arrays(ring.root_powers(corder), inv_c)
+    zpow = ring.mul_arrays(ring.root_powers(corder),
+                           ring.inv(ring.from_int(corder)))
     for s in range(corder):
         w_eta = np.zeros((n, ring.dim), dtype=dt)
         w_eta[powers] = zpow[-s * np.arange(corder) % corder]

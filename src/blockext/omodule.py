@@ -84,10 +84,6 @@ class OModuleClass:
     def __add__(self, other: "OModuleClass") -> "OModuleClass":
         return self.direct_sum(other)
 
-    def residue_dim(self) -> int:
-        """dim_k of k tensor the module, k the residue field of O."""
-        return self.free_rank + len(self.torsion)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, OModuleClass):
             return NotImplemented

@@ -31,6 +31,7 @@ from .groups import BlockContext, validate_block_spec
 FORMAT_LINE = "blockspec 1"
 OPTION_KEYS = ("enum_bound", "order_bound", "phi_exponent", "precision",
                "size_guard")
+BOUND_KEYS = ("precision", "order_bound", "enum_bound", "size_guard")
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,15 @@ def load_spec(path) -> BlockSpec:
                                   f"cannot read {path}: {exc}") from exc
 
 
+def check_bounds(values: dict) -> None:
+    """Reject a precision, order bound, enumeration bound or size guard
+    below 1 as bad input."""
+    for key in BOUND_KEYS:
+        if values.get(key) is not None and values[key] < 1:
+            raise SpecValidationError("bad-spec-file",
+                                      f"{key} {values[key]} is below 1")
+
+
 def to_context(spec: BlockSpec, overrides: dict | None = None) -> BlockContext:
     """Validate and build the block context, options resolved in order
     override > spec file > default.  The context keeps the set ones among
@@ -195,10 +205,7 @@ def to_context(spec: BlockSpec, overrides: dict | None = None) -> BlockContext:
             return overrides[key]
         return spec.option(key, default)
 
-    for key in ("precision", "order_bound", "enum_bound", "size_guard"):
-        if pick(key) is not None and pick(key) < 1:
-            raise SpecValidationError("bad-spec-file",
-                                      f"{key} {pick(key)} is below 1")
+    check_bounds({k: pick(k) for k in BOUND_KEYS})
     gens = [(perm, [list(row) for row in action])
             for _, perm, action in spec.generators]
     G = validate_block_spec(spec.p, list(spec.d_orders), gens,

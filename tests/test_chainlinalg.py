@@ -16,6 +16,8 @@ from blockext.chainlinalg import (
 from blockext.chainring import ChainRing, chain_ring
 from blockext.errors import BlockExtError, PrecisionUnstable
 
+from ringref import RefRing
+
 
 def cyclic_bar_complex(ring, q, mu_exp, length):
     """Normalized bar cochain complex of Z/q with rank-1 coefficients.
@@ -23,8 +25,8 @@ def cyclic_bar_complex(ring, q, mu_exp, length):
     The character sends the generator to zeta_q^mu_exp (mu_exp = 0 gives
     trivial coefficients).  Positions 0..length, so diffs d^0..d^(length-1).
     """
-    rho = [ring.power(ring.zeta_elt(q), (mu_exp * g) % q) if mu_exp % q
-           else ring.one for g in range(q)]
+    rho = ring.root_powers(q if mu_exp % q else 1)[
+        mu_exp * np.arange(q) % q]
     elems = list(range(1, q))
     bases = [list(product(elems, repeat=m)) for m in range(length + 1)]
     index = [{t: i for i, t in enumerate(b)} for b in bases]
@@ -35,7 +37,7 @@ def cyclic_bar_complex(ring, q, mu_exp, length):
 
         def put(row, tau, coeff, m=m, d=d):
             col = index[m][tau]
-            d[row, col] = ring.add(tuple(d[row, col]), coeff)
+            d[row, col] = (d[row, col] + coeff) % ring.pN
 
         for r, sigma in enumerate(bases[m + 1]):
             put(r, sigma[1:], rho[sigma[0]])
@@ -121,7 +123,7 @@ def test_verify_catches_broken_complex():
     R = chain_ring(3, 4, 1, 1)
     cx = cyclic_bar_complex(R, 3, 0, 3)
     d1 = cx.matrix(1).copy()
-    d1[0, 0] = R.add(tuple(d1[0, 0]), R.one)
+    d1[0, 0] = (d1[0, 0] + R.one) % R.pN
     broken = ChainComplex(R, cx.ranks, [cx.matrix(0), d1, cx.matrix(2)])
     with pytest.raises(BlockExtError, match="d o d"):
         broken.verify()
@@ -131,17 +133,18 @@ def test_chain_matrix_mul():
     R = chain_ring(3, 3, 0, 1)
     A = array(R, [[R.from_int(1), R.from_int(2)]])
     B = array(R, [[R.from_int(3)], [R.from_int(4)]])
-    assert tuple(R.matmul(A, B)[0, 0]) == R.from_int(11)
+    assert np.array_equal(R.matmul(A, B)[0, 0], R.from_int(11))
     eye = array(R, [[R.one, R.zero], [R.zero, R.one]])
-    assert _sparse(eye) == {(0, 0): R.one, (1, 1): R.one}
+    assert _sparse(eye) == {(0, 0): (1,), (1, 1): (1,)}
 
 
 # -- the dense Smith routine against a scalar reference --------------------
 
 def reference_exponents(R, rows, threshold):
     """Global minimal-valuation elimination on lists of element tuples,
-    written with the scalar ChainRing.val and div_dominated only."""
-    rows = [list(r) for r in rows]
+    in the scalar reference ring."""
+    R = RefRing(R)
+    rows = [[tuple(int(c) for c in v) for v in r] for r in rows]
     live = set(range(len(rows)))
     exps = []
     while True:
@@ -155,7 +158,7 @@ def reference_exponents(R, rows, threshold):
         a = rows[i0][j0]
         for i in live - {i0}:
             if rows[i][j0] != R.zero:
-                q = R.div_dominated(rows[i][j0], a)
+                q = R.div(rows[i][j0], a)
                 rows[i] = [R.sub(x, R.mul(q, y))
                            for x, y in zip(rows[i], rows[i0])]
                 assert rows[i][j0] == R.zero
@@ -177,12 +180,14 @@ RING_SHAPES = {
 def ring_matrices(draw, R):
     """Random small matrices whose entries have spread-out valuations;
     half of them are products, which repeat invariant factors."""
+    R = RefRing(R)
+
     def element():
         if draw(st.integers(0, 3)) == 0:
             return R.zero
         unit = tuple(draw(st.lists(st.integers(0, R.pN - 1),
                                    min_size=R.dim, max_size=R.dim)))
-        return R.mul(unit, R.pi_pow(draw(st.integers(0, R.cap))))
+        return R.mul(unit, R.power(R.pi, draw(st.integers(0, R.cap))))
 
     def matrix(m, n):
         return [[element() for _ in range(n)] for _ in range(m)]

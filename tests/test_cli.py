@@ -128,10 +128,43 @@ def test_enum_bound_exits_3(capsys):
     ["goodsets", SPEC_B, "--enum-bound=0"],
     ["goodsets", SPEC_B, "--enum-bound=-5"],
     ["ext", SPEC_A, "0", "1", "--size-guard=0"],
-    ["validate", SPEC_A, "--order-bound=0"]])
+    ["validate", SPEC_A, "--order-bound=0"],
+    ["verify", SPEC_A, "--size-guard=0"],
+    ["verify", str(CORPUS), "--precision=0"]])
 def test_bound_below_one_exits_2(capsys, argv):
     assert main(argv) == 2
     assert "below 1" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_setting_below_one_once(tmp_path, capsys,
+                                                 monkeypatch):
+    # an environment value is refused before any spec is read; a spec's
+    # own option below 1 fails that spec's validate check
+    spec = tmp_path / "a.blockspec"
+    spec.write_text((CORPUS / "example-a.blockspec").read_text()
+                    + "size_guard: 0\n")
+    code, doc = run(capsys, "verify", str(spec))
+    assert code == 1
+    assert doc["specs"][0]["checks"] == [
+        {"name": "validate", "status": "fail",
+         "detail": "size_guard 0 is below 1"}]
+    monkeypatch.setenv("BLOCKEXT_ENUM_BOUND", "0")
+    assert run(capsys, "verify", SPEC_A) == (2, None)
+
+
+def test_verify_pure_reads_size_guard_and_precision(capsys):
+    # the sweep over D alone reads both settings, and the memo the first
+    # run fills does not hide the guard
+    c9 = str(CORPUS / "c9.blockspec")
+    assert run(capsys, "verify", c9)[0] == 0
+    code, doc = run(capsys, "verify", c9, "--size-guard=1")
+    check = {c["name"]: c for c in doc["specs"][0]["checks"]}
+    assert code == 3 and check["closed_vs_oracle"]["status"] == "bound"
+    assert "guard 1" in check["closed_vs_oracle"]["detail"]
+    code, doc = run(capsys, "verify", c9, "--precision=2")
+    check = {c["name"]: c for c in doc["specs"][0]["checks"]}
+    assert code == 1 and check["closed_vs_oracle"]["status"] == "fail"
+    assert "N >= 3" in check["closed_vs_oracle"]["detail"]
 
 
 def test_verify_reports_bounds_and_exits_3(capsys):

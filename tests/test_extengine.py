@@ -121,6 +121,14 @@ def test_size_guard_trips():
         ext_oracle(ctx.G, M, M, (2,), R, size_guard=10)
 
 
+def test_abelian_memo_hit_still_trips_the_guard():
+    D = abelian_context(3, (2,)).G.D
+    triv = LinearChar(D, (0,))
+    ext_abelian_oracle(D, triv, triv, 2)  # memoized from here on
+    with pytest.raises(SizeGuardExceeded, match="guard 10"):
+        ext_abelian_oracle(D, triv, triv, 2, size_guard=10)
+
+
 def test_size_guard_zero_is_a_guard(example_a):
     # both the Ext oracle and the mod-p dimensions read the guard
     ctx = BlockContext(example_a.G, 1, {"size_guard": 0})

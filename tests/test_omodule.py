@@ -34,10 +34,8 @@ def test_module_class_basics():
     z = OModuleClass.zero(3)
     assert z.is_zero() and z.pretty() == "0"
     fr = OModuleClass.free(3, 2)
-    assert fr.residue_dim() == 2
     t = OModuleClass(3, 0, (F(2), F(1, 2)))
     assert t.torsion == (F(2), F(1, 2))  # sorted descending
-    assert t.residue_dim() == 2
     s = fr + t
     assert s.free_rank == 2 and s.torsion == (F(2), F(1, 2))
     with pytest.raises(ValueError):
