@@ -9,11 +9,17 @@ concretely as
     (Z/p^N)[x, z] / (h(x), Psi(z))
 
 where h is a Hensel-lifted irreducible degree-f factor of the m'-th
-cyclotomic polynomial (the lexicographically smallest factor mod p is chosen
-for determinism) and Psi(z) = Phi_{p^a}(1 + z), an Eisenstein polynomial of
-degree e = phi(p^a).  The class of x is a primitive m'-th root of unity, and
-y = 1 + z is a primitive p^a-th root, so pi = y - 1 = z generates the maximal
-ideal (pi = p when a = 0) and pi^(N*e) = 0.
+cyclotomic polynomial and Psi(z) = Phi_{p^a}(1 + z), an Eisenstein
+polynomial of degree e = phi(p^a).  The class of x is a primitive m'-th root
+of unity, and y = 1 + z is a primitive p^a-th root, so pi = y - 1 = z
+generates the maximal ideal (pi = p when a = 0) and pi^(N*e) = 0.
+
+The factor h_0 = h mod p is found by Berlekamp's deterministic
+factorization of Phi_{m'} over F_p, and the lexicographically smallest of
+the factors (coefficients from the constant term up) is taken.  Any factor
+gives an isomorphic ring, but the choice fixes which root of unity x is, so
+it fixes the element coordinates, the multiplication tensor and every module
+array built over the ring; it must not change.
 
 An element is a numpy array of shape (dim,), dim = f*e, in the ring's
 dtype: entry i*e + j is the coefficient of x^i z^j, reduced into [0, p^N).
@@ -39,9 +45,8 @@ from functools import lru_cache
 from math import gcd
 
 import numpy as np
-import sympy
 
-from .cyclotomic import CycloNumber, cyclotomic_coeffs
+from .cyclotomic import CycloNumber, cyclotomic_coeffs, isprime, kernel_mod
 from .errors import BlockExtError
 
 _I64 = (1 << 63) - 1  # the largest int64
@@ -137,17 +142,28 @@ def _hensel_pair(phi, h0, g0, p, N):
 
 
 def _smallest_factor_modp(mprime: int, p: int) -> list[int]:
-    """Lexicographically smallest monic irreducible factor of Phi_{m'} mod p."""
-    phi = list(cyclotomic_coeffs(mprime))
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(phi[::-1], x, modulus=p)
-    factors = []
-    for fac, mult in poly.factor_list()[1]:
-        assert mult == 1, "Phi_{m'} must be separable mod p"
-        coeffs = [int(c) % p for c in reversed(fac.all_coeffs())]
-        factors.append(tuple(coeffs))
-    factors.sort()
-    return list(factors[0])
+    """Lexicographically smallest monic irreducible factor of Phi_{m'} mod p,
+    by Berlekamp's algorithm (Phi_{m'} is squarefree mod p, as p !| m')."""
+    phi = [c % p for c in cyclotomic_coeffs(mprime)]
+    n = len(phi) - 1
+    # row i of Q is x^(i p) mod phi; v^p = v mod phi iff v (Q - I) = 0
+    xp = _pdivmod([0] * p + [1], phi, p)[1]
+    Q, row = [], [1]
+    for _ in range(n):
+        Q.append(row + [0] * (n - len(row)))
+        row = _pdivmod(_pmul(row, xp, p), phi, p)[1]
+    kernel = kernel_mod([[Q[i][j] - (i == j) for i in range(n)]
+                         for j in range(n)], p)
+    # each kernel vector v splits a factor g as the product of the
+    # gcd(g, v - s), s in F_p; the whole basis separates all the factors
+    factors = [phi]
+    for v in kernel:
+        if len(factors) == len(kernel):
+            break
+        gcds = (_pgcd_bezout_modp(g, _psub(v, [s], p), p)[0]
+                for g in factors for s in range(p))
+        factors = [d for d in gcds if len(d) > 1]
+    return sorted(factors)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +205,7 @@ class ChainRing:
     """O/p^N with p-power root level a and unramified part of conductor m'."""
 
     def __init__(self, p: int, N: int, a: int, mprime: int = 1):
-        if not sympy.isprime(p):
+        if not isprime(p):
             raise ValueError(f"{p} is not prime")
         if N < 1 or a < 0 or mprime < 1:
             raise ValueError("bad chain ring parameters")
@@ -197,7 +213,9 @@ class ChainRing:
             raise ValueError("m' must be prime to p")
         self.p, self.N, self.a, self.mprime = p, N, a, mprime
         self.pN = p**N
-        self.f = sympy.n_order(p, mprime) if mprime > 1 else 1
+        self.f = 1  # the multiplicative order of p mod m'
+        while pow(p, self.f, mprime) != 1 % mprime:
+            self.f += 1
         self.e = p ** (a - 1) * (p - 1) if a >= 1 else 1
         self.cap = N * self.e  # pi^cap = 0
         self.dim = self.f * self.e

@@ -4,9 +4,11 @@ Character tables of the p'-groups are computed by the Dixon-Schneider
 method: the common eigenvectors of the class matrices over a finite field
 F_ell (ell = 1 mod exp(E), ell > 2 sqrt|E|) are the central characters, the
 degrees come out of the orthogonality sum, and the actual cyclotomic values
-are recovered by discrete-log lifting of root-of-unity multiplicities.  All
-returned values are exact CycloNumbers and every table is verified against
-both orthogonality relations before use.
+are recovered by discrete-log lifting of root-of-unity multiplicities.  The
+lift reads zeta_m as g^((ell-1)/m) for the smallest primitive root g mod
+ell; another root would Galois-conjugate the values and reorder the table.
+All returned values are exact CycloNumbers and every table is verified
+against both orthogonality relations before use.
 
 Irr(B) is parametrized by pairs (lambda, chi) with lambda an orbit
 representative on Irr(D) and chi in Irr(E_lambda | phi), certified
@@ -19,9 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-import sympy
-
-from .cyclotomic import CycloNumber, zeta
+from .cyclotomic import CycloNumber, isprime, kernel_mod, rref_mod, zeta
 from .errors import BlockExtError, OrthogonalityFailure
 from .groups import BlockContext, FiniteGroup, LinearChar
 
@@ -88,10 +88,26 @@ def _dixon_prime(E: FiniteGroup, bound: int = 100000) -> int:
     while ell < start:
         ell += m
     while ell < bound:
-        if sympy.isprime(ell):
+        if isprime(ell):
             return ell
         ell += m
     raise BlockExtError(f"no Dixon prime below {bound} for exponent {m}")
+
+
+def _primitive_root(ell: int) -> int:
+    """The smallest primitive root mod the prime ell: the least g whose
+    (ell-1)/q-th power is not 1 for any prime q dividing ell - 1."""
+    qs, n, q = [], ell - 1, 2
+    while q * q <= n:
+        if n % q == 0:
+            qs.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        qs.append(n)
+    return next(g for g in range(1, ell)
+                if all(pow(g, (ell - 1) // q, ell) != 1 for q in qs))
 
 
 def _class_matrices(E: FiniteGroup) -> list[list[list[int]]]:
@@ -110,44 +126,6 @@ def _class_matrices(E: FiniteGroup) -> list[list[list[int]]]:
     return mats
 
 
-def _rref(M: list[list[int]], ell: int):
-    """Row-reduce a copy of M over F_ell; returns (rows, pivot columns)."""
-    A = [row[:] for row in M]
-    nr, nc = len(A), len(A[0]) if A else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if A[i][c] % ell), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][c], -1, ell)
-        A[r] = [(v * inv) % ell for v in A[r]]
-        for i in range(nr):
-            if i != r and A[i][c] % ell:
-                f = A[i][c]
-                A[i] = [(a - f * b) % ell for a, b in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return A[:r], pivots
-
-
-def _kernel(M: list[list[int]], ell: int) -> list[list[int]]:
-    nc = len(M[0])
-    rows, pivots = _rref(M, ell)
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * nc
-        v[fc] = 1
-        for r, pc in zip(rows, pivots):
-            v[pc] = (-r[fc]) % ell
-        basis.append(v)
-    return basis
-
-
 def _matvec(M, v, ell):
     return [sum(a * b for a, b in zip(row, v)) % ell for row in M]
 
@@ -160,7 +138,7 @@ def _restriction(A, basis, ell):
     images = [_matvec(A, v, ell) for v in basis]
     aug = [[basis[j][i] for j in range(dim)] + [img[i] for img in images]
            for i in range(k)]
-    rows, pivots = _rref(aug, ell)
+    rows, pivots = rref_mod(aug, ell)
     assert pivots[:dim] == list(range(dim)), "basis not independent"
     B = [[0] * dim for _ in range(dim)]
     for r, pc in zip(rows, pivots):
@@ -182,7 +160,7 @@ def _split_eigenspaces(spaces, A, ell):
         for lam in range(ell):
             M = [[(B[i][j] - (lam if i == j else 0)) % ell
                   for j in range(dim)] for i in range(dim)]
-            ker = _kernel(M, ell)
+            ker = kernel_mod(M, ell)
             if not ker:
                 continue
             sub = [[sum(w[j] * basis[j][i] for j in range(dim)) % ell
@@ -229,7 +207,7 @@ def char_table(E: FiniteGroup) -> tuple[ClassFunction, ...]:
     assert all(len(s) == 1 for s in spaces), "class matrices failed to separate"
 
     m = E.exponent
-    g_ell = sympy.primitive_root(ell)
+    g_ell = _primitive_root(ell)
     z_m = pow(g_ell, (ell - 1) // m, ell)
     inv_classes = [E.class_of[E.inverse[c[0]]] for c in cls]
     chars = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -32,6 +33,8 @@ from .results import (block_char_obj, class_function_obj, document,
 from .specfile import check_bounds, load_spec, to_context
 
 ENV_PREFIX = "BLOCKEXT_"
+# the top-level precision line of a rendered document
+_PRECISION_LINE = re.compile(r'^  "precision": \d+,?\n', re.M)
 
 
 def _env(name):
@@ -279,7 +282,10 @@ def _verify_one(args, path, mode) -> dict:
                 got = render(document("chars", name, _chars_body(ctx),
                                       version=__version__,
                                       precision=block_ring(ctx).N))
-                if got != want:
+                # the chars body does not depend on N, so a --precision
+                # other than the golden's is no mismatch
+                if (_PRECISION_LINE.sub("", got)
+                        != _PRECISION_LINE.sub("", want)):
                     raise BlockExtError(f"golden mismatch: {golden}")
                 return "byte-identical"
             _check(checks, "golden", compare)

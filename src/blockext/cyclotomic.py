@@ -4,24 +4,39 @@ Values are stored on the power basis 1, zeta, ..., zeta^(phi(m)-1) with
 Fraction coefficients, reduced modulo the m-th cyclotomic polynomial.  This is
 enough for character tables and for the small valuation computations done at
 the O-module level; no floating point is involved anywhere.
+
+The module also holds the prime-field helpers that the character tables and
+the chain ring share: a primality test and row reduction over F_ell.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
-import sympy
+
+def isprime(n: int) -> bool:
+    """Whether n is a prime number, by trial division."""
+    return n > 1 and all(n % q for q in range(2, isqrt(n) + 1))
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(m: int) -> tuple[int, ...]:
-    """Coefficients of the m-th cyclotomic polynomial, constant term first."""
+    """Coefficients of the m-th cyclotomic polynomial, constant term first:
+    x^m - 1 divided exactly by Phi_d for every proper divisor d of m."""
     if m < 1:
         raise ValueError("conductor must be positive")
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(sympy.cyclotomic_poly(m, x), x)
-    return tuple(map(int, reversed(poly.all_coeffs())))
+    num = [-1] + [0] * (m - 1) + [1]
+    for d in _divisors(m)[:-1]:
+        c = cyclotomic_coeffs(d)  # monic, so the division stays in Z
+        q = [0] * (len(num) - len(c) + 1)
+        for k in range(len(q) - 1, -1, -1):
+            q[k] = num[k + len(c) - 1]
+            for i, y in enumerate(c):
+                num[k + i] -= q[k] * y
+        num = q
+    return tuple(num)
 
 
 @lru_cache(maxsize=None)
@@ -309,3 +324,42 @@ def _solve_rational(basis, target):
         if aug[r][-1] != 0:
             return None
     return sol
+
+
+def rref_mod(M: list[list[int]], ell: int):
+    """Row-reduce a copy of M over F_ell; returns (rows, pivot columns)."""
+    A = [row[:] for row in M]
+    nr, nc = len(A), len(A[0]) if A else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if A[i][c] % ell), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = pow(A[r][c], -1, ell)
+        A[r] = [(v * inv) % ell for v in A[r]]
+        for i in range(nr):
+            if i != r and A[i][c] % ell:
+                f = A[i][c]
+                A[i] = [(a - f * b) % ell for a, b in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return A[:r], pivots
+
+
+def kernel_mod(M: list[list[int]], ell: int) -> list[list[int]]:
+    """A basis of the null space of M over F_ell."""
+    nc = len(M[0])
+    rows, pivots = rref_mod(M, ell)
+    free = [c for c in range(nc) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [0] * nc
+        v[fc] = 1
+        for r, pc in zip(rows, pivots):
+            v[pc] = (-r[fc]) % ell
+        basis.append(v)
+    return basis

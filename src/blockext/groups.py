@@ -15,9 +15,7 @@ from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
 
-import sympy
-
-from .cyclotomic import CycloNumber, zeta
+from .cyclotomic import CycloNumber, isprime, zeta
 from .errors import OrderBoundExceeded, SpecValidationError
 
 
@@ -29,7 +27,7 @@ class AbelianPGroup:
     """C_{p^{n_1}} x ... x C_{p^{n_t}} with elements as exponent tuples."""
 
     def __init__(self, p: int, orders: list[int]):
-        if not sympy.isprime(p):
+        if not isprime(p):
             raise SpecValidationError("p-not-prime", f"{p} is not prime")
         if not orders or any(n < 1 for n in orders):
             raise SpecValidationError(

@@ -17,14 +17,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import sympy
-
-from .cyclotomic import CycloNumber, zeta
+from .cyclotomic import CycloNumber, isprime, zeta
 
 
 def val_one_minus_zeta(p: int, n: int) -> Fraction:
     """v(1 - zeta_{p^n}) = 1 / (p^(n-1) (p-1)) for n >= 1."""
-    if not sympy.isprime(p):
+    if not isprime(p):
         raise ValueError(f"{p} is not prime")
     if n < 1:
         raise ValueError("need n >= 1")
@@ -33,7 +31,7 @@ def val_one_minus_zeta(p: int, n: int) -> Fraction:
 
 def verify_cyclotomic_identity(p: int, n: int) -> bool:
     """Check prod_{1<=i<p^n, p !| i} (1 - zeta_{p^n}^i) == p by exact arithmetic."""
-    if not sympy.isprime(p):
+    if not isprime(p):
         raise ValueError(f"{p} is not prime")
     if n < 1:
         raise ValueError("need n >= 1")

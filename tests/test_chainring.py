@@ -1,12 +1,13 @@
 """The truncated chain ring (Z/p^N)[x,z]/(h(x), Psi(z))."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from blockext.chainring import chain_ring
-from blockext.cyclotomic import CycloNumber, zeta
+from blockext.chainring import _smallest_factor_modp, chain_ring
+from blockext.cyclotomic import CycloNumber, cyclotomic_coeffs, zeta
 
 from ringref import RefRing
 
@@ -41,6 +42,50 @@ def test_h_is_hensel_factor():
     x8 = S.x_elt
     assert eq(power(S, x8, 8), S.one)
     assert eq(power(S, x8, 4), S.from_int(-1))
+
+
+# the least factor mod p, constant term first, computed once with an
+# independent computer-algebra system
+LEAST_FACTORS = {
+    (2, 3): [1, 1, 1], (3, 4): [1, 0, 1], (2, 7): [1, 0, 1, 1],
+    (2, 15): [1, 0, 0, 1, 1], (5, 12): [4, 2, 1], (7, 19): [6, 0, 5, 1],
+    (11, 60): [3, 3, 1], (2, 63): [1, 0, 0, 0, 0, 1, 1],
+    (3, 80): [2, 0, 0, 1, 1], (2, 127): [1, 0, 0, 0, 0, 0, 1, 1],
+    (13, 157): [1, 0, 7, 12, 7, 0, 1]}
+
+
+@pytest.mark.parametrize("p, mprime", sorted(LEAST_FACTORS))
+def test_smallest_factor_table(p, mprime):
+    assert _smallest_factor_modp(mprime, p) == LEAST_FACTORS[p, mprime]
+
+
+def _monic_divisors(p, mprime, f):
+    """Every monic degree-f divisor of Phi_{m'} mod p, in lexicographic
+    order, by dividing Phi_{m'} by all p^f candidates at once."""
+    low = np.array(list(itertools.product(range(p), repeat=f)))
+    cands = np.concatenate([low, np.ones((len(low), 1), dtype=int)], axis=1)
+    r = np.tile(np.array(cyclotomic_coeffs(mprime)) % p, (len(cands), 1))
+    for k in range(r.shape[1] - 1 - f, -1, -1):
+        r[:, k:k + f + 1] = (r[:, k:k + f + 1]
+                             - r[:, k + f, None] * cands) % p
+    return cands[~r.any(axis=1)].tolist()
+
+
+def test_smallest_factor_is_the_least_divisor():
+    # for p^f <= 5000: no monic degree-f divisor sorts below the chosen
+    # factor, and Phi_{m'} has phi(m')/f of them
+    for p in (2, 3, 5, 7, 11, 13):
+        for mprime in range(1, 160):
+            if mprime % p == 0:
+                continue
+            f = 1
+            while pow(p, f, mprime) != 1 % mprime:
+                f += 1
+            if p**f > 5000:
+                continue
+            divs = _monic_divisors(p, mprime, f)
+            assert len(divs) * f == len(cyclotomic_coeffs(mprime)) - 1
+            assert _smallest_factor_modp(mprime, p) == divs[0], (p, mprime)
 
 
 def test_valuations():

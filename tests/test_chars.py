@@ -27,6 +27,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SPECS = sorted((ROOT / "corpus").glob("*.blockspec"))
 
 C4 = (1, 2, 3, 0)
+# the smallest primitive root mod ell, computed once with an independent
+# computer-algebra system
+PRIMITIVE_ROOTS = {2: 1, 3: 2, 5: 2, 7: 3, 23: 5, 41: 6, 71: 7, 191: 19,
+                   409: 21, 577: 5, 1009: 11, 7681: 17, 40961: 3, 65537: 3,
+                   99991: 6}
 QI = (2, 3, 1, 0, 6, 7, 5, 4)
 QJ = (4, 5, 7, 6, 1, 0, 2, 3)
 
@@ -65,6 +70,22 @@ class TestCharTable:
         assert E.n == 24
         table = char_table(E)
         assert sorted(ch.degree() for ch in table) == [1, 1, 1, 2, 2, 2, 3]
+
+    def test_smallest_primitive_root(self):
+        assert {ell: chars._primitive_root(ell)
+                for ell in PRIMITIVE_ROOTS} == PRIMITIVE_ROOTS
+
+        def order(g, ell):
+            n, x = 1, g
+            while x != 1:
+                n, x = n + 1, x * g % ell
+            return n
+
+        for ell in range(3, 500):
+            if all(ell % d for d in range(2, ell)):
+                g = chars._primitive_root(ell)
+                assert order(g, ell) == ell - 1
+                assert all(order(h, ell) < ell - 1 for h in range(1, g))
 
     def test_deterministic(self):
         t1 = char_table(build_group([(1, 0, 2), (2, 1, 0)]))

@@ -1,6 +1,9 @@
 """End-to-end CLI runs, in process via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -291,6 +294,43 @@ def test_verify_corrupted_golden_fails(tmp_path, capsys):
     assert code == 1 and not doc["passed"]
     status = {c["name"]: c["status"] for c in doc["specs"][0]["checks"]}
     assert status["golden"] == "fail"
+
+
+def test_verify_golden_ignores_only_the_precision(tmp_path, capsys):
+    # the chars body does not depend on N: a --precision other than the
+    # golden's passes, while an edited character value still fails
+    c9 = CORPUS / "c9.blockspec"
+    code, doc = run(capsys, "verify", str(c9), "--precision=7")
+    status = {c["name"]: c["status"] for c in doc["specs"][0]["checks"]}
+    assert code == 0 and status["golden"] == "pass"
+    (tmp_path / "goldens").mkdir()
+    (tmp_path / "c9.blockspec").write_text(c9.read_text())
+    golden = json.loads((CORPUS / "goldens" / "c9.chars.json").read_text())
+    golden["irr"][1]["chi"][0]["coeffs"][0]["num"] = -1
+    (tmp_path / "goldens" / "c9.chars.json").write_text(
+        json.dumps(golden, sort_keys=True, indent=2) + "\n")
+    for flags in ((), ("--precision=7",)):
+        code, doc = run(capsys, "verify", str(tmp_path / "c9.blockspec"),
+                        *flags)
+        check = {c["name"]: c for c in doc["specs"][0]["checks"]}
+        assert code == 1 and check["golden"]["status"] == "fail"
+        assert "golden mismatch" in check["golden"]["detail"]
+
+
+def test_startup_loads_only_numpy_and_the_standard_library():
+    # numpy is the only runtime dependency: a fresh interpreter that loads
+    # the package and its command line imports no other third-party module
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys; before = set(sys.modules); "
+            "import blockext, blockext.cli; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names) - {'numpy', 'blockext'}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_verify_empty_corpus_exits_2(tmp_path):

@@ -1,10 +1,12 @@
 """Exact cyclotomic arithmetic."""
 
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 
-from blockext.cyclotomic import CycloNumber, cyclotomic_coeffs, zeta
+from blockext.cyclotomic import CycloNumber, cyclotomic_coeffs, isprime, zeta
 
 
 def test_cyclotomic_coeffs_small():
@@ -16,6 +18,37 @@ def test_cyclotomic_coeffs_small():
     assert cyclotomic_coeffs(8) == (1, 0, 0, 0, 1)
     assert cyclotomic_coeffs(9) == (1, 0, 0, 1, 0, 0, 1)
     assert cyclotomic_coeffs(12) == (1, 0, -1, 0, 1)
+    assert cyclotomic_coeffs(15) == (1, -1, 0, 1, -1, 1, 0, -1, 1)
+    assert cyclotomic_coeffs(30) == (1, 1, 0, -1, -1, -1, 0, 1, 1)
+    # the first cyclotomic polynomial with a coefficient outside {-1, 0, 1}
+    assert cyclotomic_coeffs(105) == (
+        1, 1, 1, 0, 0, -1, -1, -2, -1, -1, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, -1,
+        0, -1, 0, -1, 0, -1, 0, -1, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, -1, -1, -2,
+        -1, -1, 0, 0, 1, 1, 1)
+
+
+def test_cyclotomic_product_is_x_m_minus_1():
+    # prod_{d | m} Phi_d = x^m - 1, and Phi_m is monic of degree phi(m)
+    for m in range(1, 400):
+        acc = np.array([1], dtype=object)
+        for d in range(1, m + 1):
+            if m % d == 0:
+                acc = np.convolve(acc, np.array(cyclotomic_coeffs(d),
+                                                dtype=object))
+        assert acc.tolist() == [-1] + [0] * (m - 1) + [1], m
+        totient = sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+        assert len(cyclotomic_coeffs(m)) == totient + 1
+        assert cyclotomic_coeffs(m)[-1] == 1
+
+
+def test_isprime_matches_a_sieve():
+    n = 50_000
+    sieve = [False, False] + [True] * (n - 2)
+    for q in range(2, n):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(range(q * q, n, q))
+    assert [isprime(k) for k in range(n)] == sieve
+    assert not any(isprime(k) for k in range(-5, 0))
 
 
 def test_zeta_orders():
