@@ -51,10 +51,8 @@ from .chars import (
     build_irr_B,
     char_table,
     decomposition_matrix,
-    induce,
     irr_over_phi,
     lifts_of,
-    reduce_to_brauer,
 )
 from .modrep import ModuleRep, build_module_rep
 from .extengine import (

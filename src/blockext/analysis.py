@@ -94,9 +94,8 @@ def enumerate_good_sets(ctx: BlockContext, mode: str = "crosscheck",
     _require_assumption(ctx)
     if enum_bound is None:
         enum_bound = ctx.options.get("enum_bound", DEFAULT_ENUM_BOUND)
-    irr = build_irr_B(ctx)
     nbr = len(brauer_chars(ctx))
-    lift_lists = [lifts_of(ctx, k, irr) for k in range(nbr)]
+    lift_lists = [lifts_of(ctx, k) for k in range(nbr)]
     total = 1
     for lifts in lift_lists:
         total *= max(len(lifts), 1)

@@ -1,4 +1,4 @@
-"""Exact character theory for the blocks: tables, induction, Brauer side.
+"""Exact character theory for the blocks: tables, Clifford theory, Brauer side.
 
 Character tables of the p'-groups are computed by the Dixon-Schneider
 method: the common eigenvectors of the class matrices over a finite field
@@ -13,7 +13,8 @@ against both orthogonality relations before use.
 Irr(B) is parametrized by pairs (lambda, chi) with lambda an orbit
 representative on Irr(D) and chi in Irr(E_lambda | phi), certified
 distinct by Clifford theory without building D x| E; the Brauer side is
-Irr(E | phi) and decomposition numbers are inner products of E-inductions.
+Irr(E | phi) and decomposition numbers are inner products over E_lambda
+with restricted Brauer characters, by Frobenius reciprocity.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .cyclotomic import CycloNumber, isprime, kernel_mod, rref_mod, zeta
+from .cyclotomic import (CycloNumber, isprime, kernel_mod, prime_factors,
+                         rref_mod, zeta)
 from .errors import BlockExtError, OrthogonalityFailure
 from .groups import BlockContext, FiniteGroup, LinearChar
 
@@ -43,7 +45,7 @@ class ClassFunction:
     def degree(self) -> int:
         return self.values[0].as_int()
 
-    def conj_values(self) -> tuple:
+    def values_at_inverses(self) -> tuple:
         """Values at inverse classes (complex conjugate for characters)."""
         G = self.group
         return tuple(self.values[G.class_of[G.inverse[cls[0]]]]
@@ -53,7 +55,7 @@ class ClassFunction:
         if self.group is not other.group:
             raise BlockExtError("inner product across different groups")
         G = self.group
-        conj = other.conj_values()
+        conj = other.values_at_inverses()
         acc = _ZERO
         for k, cls in enumerate(G.classes):
             acc = acc + self.values[k] * conj[k] * len(cls)
@@ -97,15 +99,7 @@ def _dixon_prime(E: FiniteGroup, bound: int = 100000) -> int:
 def _primitive_root(ell: int) -> int:
     """The smallest primitive root mod the prime ell: the least g whose
     (ell-1)/q-th power is not 1 for any prime q dividing ell - 1."""
-    qs, n, q = [], ell - 1, 2
-    while q * q <= n:
-        if n % q == 0:
-            qs.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        qs.append(n)
+    qs = prime_factors(ell - 1)
     return next(g for g in range(1, ell)
                 if all(pow(g, (ell - 1) // q, ell) != 1 for q in qs))
 
@@ -181,11 +175,12 @@ def _verify_orthogonality(E: FiniteGroup, chars: list[ClassFunction]):
             if ip != (1 if i == j else 0):
                 raise OrthogonalityFailure(
                     f"first orthogonality fails at ({i},{j}): {ip}")
+    conj = [ch.values_at_inverses() for ch in chars]
     for kk in range(k):
         for ll in range(k):
             acc = _ZERO
-            for ch in chars:
-                acc = acc + ch.values[kk] * ch.conj_values()[ll]
+            for ch, bar in zip(chars, conj):
+                acc = acc + ch.values[kk] * bar[ll]
             want = (CycloNumber.from_rational(
                 Fraction(E.n, len(E.classes[kk]))) if kk == ll else _ZERO)
             if acc != want:
@@ -265,28 +260,6 @@ def irr_over_phi(F: FiniteGroup, z_local: int, zorder: int,
 
 
 # ---------------------------------------------------------------------------
-# induction
-# ---------------------------------------------------------------------------
-
-def induce(G: FiniteGroup, embed: list[int], cf: ClassFunction) -> ClassFunction:
-    """Induced class function along the subgroup embedding embed: H -> G."""
-    H = cf.group
-    assert len(embed) == H.n
-    pos = {g: i for i, g in enumerate(embed)}
-    values = []
-    for cls in G.classes:
-        r = cls[0]
-        acc = _ZERO
-        for x in range(G.n):
-            y = G.table[G.table[x][r]][G.inverse[x]]
-            i = pos.get(y)
-            if i is not None:
-                acc = acc + cf.values[H.class_of[i]]
-        values.append(acc * Fraction(1, H.n))
-    return ClassFunction(G, values)
-
-
-# ---------------------------------------------------------------------------
 # the ordinary and Brauer characters of B
 # ---------------------------------------------------------------------------
 
@@ -362,38 +335,37 @@ def brauer_chars(ctx: BlockContext) -> list[ClassFunction]:
     return cached
 
 
-def reduce_to_brauer(ctx: BlockContext, c: BlockCharacter
-                     ) -> dict[int, int]:
-    """chi induced from E_lambda to E, expanded in Irr(E | phi).
+def decomposition_matrix(ctx: BlockContext) -> tuple[tuple[int, ...], ...]:
+    """One row per member of Irr(B), one column per member of IBr(B).
 
-    Returns {index into brauer_chars(ctx): multiplicity}.
+    The entry for (lambda, chi) and psi is <Ind_{E_lambda}^E chi, psi>_E,
+    read by Frobenius reciprocity as <chi, Res_{E_lambda} psi>_{E_lambda}
+    (Isaacs, Character Theory of Finite Groups, 5.2).  Computed once per
+    block and held as tuples, so no caller can edit the shared table;
+    every row must sum, weighted by the psi degrees, to the degree of its
+    character.
     """
-    ind = induce(ctx.G.E, c.stab_embed, c.chi)
-    out = {}
-    for i, psi in enumerate(brauer_chars(ctx)):
-        mult = ind.inner_product(psi)
-        assert mult.denominator == 1
-        if mult:
-            out[i] = int(mult)
-    assert sum(m * brauer_chars(ctx)[i].degree() for i, m in out.items()) \
-        == c.chi.degree() * (ctx.G.E.n // c.stab.n)
-    return out
-
-
-def lifts_of(ctx: BlockContext, psi_index: int,
-             irrB: list[BlockCharacter]) -> list[BlockCharacter]:
-    """Members of Irr(B) whose Brauer reduction is exactly one copy of psi."""
-    return [c for c in irrB
-            if reduce_to_brauer(ctx, c) == {psi_index: 1}]
-
-
-def decomposition_matrix(ctx: BlockContext,
-                         irrB: list[BlockCharacter] | None = None
-                         ) -> list[list[int]]:
-    irrB = build_irr_B(ctx) if irrB is None else irrB
-    ncols = len(brauer_chars(ctx))
+    cached = ctx.cache.get("decomposition")
+    if cached is not None:
+        return cached
+    ibr = brauer_chars(ctx)
     rows = []
-    for c in irrB:
-        red = reduce_to_brauer(ctx, c)
-        rows.append([red.get(j, 0) for j in range(ncols)])
-    return rows
+    for c in build_irr_B(ctx):
+        H = c.stab
+        row = []
+        for psi in ibr:
+            res = ClassFunction(H, [psi(c.stab_embed[cls[0]])
+                                    for cls in H.classes])
+            mult = c.chi.inner_product(res)
+            assert mult.denominator == 1
+            row.append(int(mult))
+        assert sum(m * psi.degree() for m, psi in zip(row, ibr)) == c.degree
+        rows.append(tuple(row))
+    cached = ctx.cache["decomposition"] = tuple(rows)
+    return cached
+
+
+def lifts_of(ctx: BlockContext, psi_index: int) -> list[BlockCharacter]:
+    """Members of Irr(B) whose Brauer reduction is exactly one copy of psi."""
+    return [c for c, row in zip(build_irr_B(ctx), decomposition_matrix(ctx))
+            if sum(row) == row[psi_index] == 1]

@@ -21,6 +21,20 @@ def isprime(n: int) -> bool:
     return n > 1 and all(n % q for q in range(2, isqrt(n) + 1))
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    qs, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            qs.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        qs.append(n)
+    return qs
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, constant term first:
@@ -142,18 +156,6 @@ class CycloNumber:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "CycloNumber":
-        if n < 0:
-            raise ValueError("negative powers not supported")
-        out = CycloNumber.from_rational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
@@ -169,51 +171,56 @@ class CycloNumber:
         weights = {i * step: c for i, c in enumerate(self.coeffs) if c}
         return CycloNumber.from_root_powers(M, weights)
 
-    def try_descend(self, d: int) -> "CycloNumber | None":
-        """The same value in Q(zeta_d) if it lies there, else None; d | m."""
-        if self.m % d:
-            raise ValueError(f"{d} does not divide {self.m}")
-        if d == self.m:
-            return self
-        basis = [zeta(d, i).embed(self.m).coeffs for i in range(_phi(d))]
-        sol = _solve_rational(basis, self.coeffs)
-        if sol is None:
-            return None
-        return CycloNumber(d, sol)
-
     def minimal(self) -> "CycloNumber":
-        """Rewrite over the smallest conductor dividing m."""
-        if self._min is not None:
-            return self._min
-        best = self
-        for d in sorted(_divisors(self.m)):
-            if d == self.m:
-                break
-            down = self.try_descend(d)
-            if down is not None:
-                best = down
-                break
-        if best is not self:
-            best = best.minimal()
-        self._min = best
-        return best
+        """Rewrite over the least conductor holding the value.
 
-    # -- Galois action ------------------------------------------------
+        The conductors d | m with the value in Q(zeta_d) are closed under
+        gcd, since Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), so
+        they have a least member L, and L | c/q for some prime q whenever
+        c is a larger one.  Dropping one prime of the conductor at a time,
+        as long as the value stays inside, therefore ends at L; a prime
+        that fails once fails at every smaller conductor too.
+        """
+        if self._min is None:
+            best = self
+            for q in prime_factors(self.m):
+                while best.m % q == 0:
+                    down = best._drop(q)
+                    if down is None:
+                        break
+                    best = down
+            self._min = best
+        return self._min
 
-    def galois(self, j: int) -> "CycloNumber":
-        """Apply zeta_m -> zeta_m^j; j must be invertible mod m."""
-        from math import gcd
+    def _drop(self, q: int) -> "CycloNumber | None":
+        """The value in Q(zeta_{m/q}) for a prime q | m, or None.
 
-        if gcd(j, self.m) != 1:
-            raise ValueError("galois exponent must be coprime to the conductor")
-        weights = {(i * j) % self.m: c for i, c in enumerate(self.coeffs) if c}
-        return CycloNumber.from_root_powers(self.m, weights)
-
-    def conj(self) -> "CycloNumber":
-        """Complex conjugation, zeta -> zeta^(-1)."""
-        if self.m <= 2:
-            return self
-        return self.galois(self.m - 1)
+        If q^2 | m, Q(zeta_m) has basis zeta_m^j (j < q) over Q(zeta_{m/q})
+        and power-basis index k = qi + j, so the value descends iff every
+        coefficient off j = 0 vanishes.  If q || m, Q(zeta_m) is
+        Q(zeta_{m/q}) (x) Q(zeta_q) through zeta_m = zeta_{m/q}^a zeta_q^b,
+        a q = 1 mod m/q and b m/q = 1 mod q, and the value descends iff it
+        has no part along zeta_q^j for j >= 1.
+        """
+        n = self.m // q
+        if n % q == 0:
+            if any(c for k, c in enumerate(self.coeffs) if k % q):
+                return None
+            return CycloNumber(n, self.coeffs[::q])
+        a, b = pow(q, -1, n), pow(n, -1, q)
+        rows_n, rows_q = _power_rows(n), _power_rows(q)
+        acc = [[Fraction(0)] * (q - 1) for _ in range(_phi(n))]
+        for k, c in enumerate(self.coeffs):
+            if c:
+                zq = rows_q[b * k % q]
+                for i, x in enumerate(rows_n[a * k % n]):
+                    if x:
+                        for j, y in enumerate(zq):
+                            if y:
+                                acc[i][j] += c * (x * y)
+        if any(any(row[1:]) for row in acc):
+            return None
+        return CycloNumber(n, [row[0] for row in acc])
 
     # -- rationality --------------------------------------------------
 
@@ -293,37 +300,6 @@ def _common(a: CycloNumber, b: CycloNumber) -> tuple[CycloNumber, CycloNumber]:
 
 def _divisors(m: int) -> list[int]:
     return [d for d in range(1, m + 1) if m % d == 0]
-
-
-def _solve_rational(basis, target):
-    """Solve sum c_i * basis[i] = target over Q, or None if inconsistent."""
-    rows = len(basis)
-    cols = len(target)
-    # Gaussian elimination on the transposed system [basis^T | target]
-    aug = [[Fraction(basis[r][c]) for r in range(rows)] + [Fraction(target[c])]
-           for c in range(cols)]
-    pivots = []
-    row = 0
-    for col in range(rows):
-        pr = next((r for r in range(row, cols) if aug[r][col] != 0), None)
-        if pr is None:
-            continue
-        aug[row], aug[pr] = aug[pr], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(cols):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    sol = [Fraction(0)] * rows
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][-1]
-    for r in range(row, cols):
-        if aug[r][-1] != 0:
-            return None
-    return sol
 
 
 def rref_mod(M: list[list[int]], ell: int):

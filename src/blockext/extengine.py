@@ -35,12 +35,11 @@ from .chainring import BLOCK, ChainRing, chain_ring
 from .chars import BlockCharacter, brauer_chars
 from .errors import (BlockExtError, CrossCheckMismatch, PrecisionUnstable,
                      SizeGuardExceeded)
-from .groups import AbelianPGroup, BlockContext, LinearChar, validate_block_spec
+from .groups import (DEFAULT_SIZE_GUARD, AbelianPGroup, BlockContext,
+                     LinearChar, validate_block_spec)
 from .modrep import (ModuleRep, _vchi_matrices, build_module_rep, kron_array,
                      vchi_rep)
 from .omodule import OModuleClass, kunneth_assemble, val_one_minus_zeta
-
-DEFAULT_SIZE_GUARD = 250000
 
 
 def default_precision(a: int) -> int:
@@ -60,12 +59,12 @@ def smith_bound(D: AbelianPGroup, R: ChainRing) -> int:
     return R.e * a
 
 
-def block_ring(ctx: BlockContext, precision: int | None = None) -> ChainRing:
-    """The chain ring big enough for this block's roots of unity."""
+def block_ring(ctx: BlockContext) -> ChainRing:
+    """The chain ring big enough for this block's roots of unity, at the
+    block's precision."""
     G = ctx.G
     a = max(G.D.orders, default=0)
-    if precision is None:
-        precision = ctx.options.get("precision")
+    precision = ctx.options.get("precision")
     if precision is None:
         precision = default_precision(a)
     return chain_ring(G.D.p, precision, a, G.E.exponent)

@@ -15,8 +15,11 @@ from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .cyclotomic import CycloNumber, isprime, zeta
+from .cyclotomic import isprime
 from .errors import OrderBoundExceeded, SpecValidationError
+
+# the default cap on cochain cells, and the least cap on |D| at validation
+DEFAULT_SIZE_GUARD = 250000
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +55,6 @@ class AbelianPGroup:
 
     def add(self, x, y) -> tuple:
         return tuple((a + b) % q for a, b, q in zip(x, y, self.qs))
-
-    def neg(self, x) -> tuple:
-        return tuple((-a) % q for a, q in zip(x, self.qs))
 
     def order_of(self, x) -> int:
         return lcm(*(q // gcd(a, q) for a, q in zip(x, self.qs))) if any(x) else 1
@@ -118,9 +118,6 @@ class LinearChar:
         qm = D.exponent
         return sum(a * xi * (qm // q)
                    for a, xi, q in zip(self.vec, x, D.qs)) % qm
-
-    def value(self, x) -> CycloNumber:
-        return zeta(self.group.exponent) ** self.value_exponent(x)
 
     def mul(self, other: "LinearChar") -> "LinearChar":
         D = self.group
@@ -363,15 +360,9 @@ class SemidirectGroup:
     def order(self) -> int:
         return self.D.order * self.E.n
 
-    def linear_chars(self) -> list[LinearChar]:
-        out = [()]
-        for q in self.D.qs:
-            out = [v + (i,) for v in out for i in range(q)]
-        return [LinearChar(self.D, v) for v in out]
-
     def char_orbits(self) -> list[dict]:
         """E-orbits on Irr(D): rep (lex-least), orbit, stabilizer indices."""
-        chars = self.linear_chars()
+        chars = [LinearChar(self.D, v) for v in self.D.elements()]
         index = {lam.vec: i for i, lam in enumerate(chars)}
         seen = [False] * len(chars)
         orbits = []
@@ -400,14 +391,24 @@ class SemidirectGroup:
 
 def validate_block_spec(p: int, orders: list[int],
                         generators: list[tuple[tuple, list[list[int]]]],
-                        *, order_bound: int = 512) -> SemidirectGroup:
+                        *, order_bound: int = 512,
+                        size_guard: int | None = None) -> SemidirectGroup:
     """Build and validate G = D x| E from raw spec data.
 
     generators is a list of (permutation, action matrix) pairs.  Returns the
     SemidirectGroup; raises SpecValidationError with a distinct code for each
     violated hypothesis.  The p = 2 small-factor assumption is recorded on D
-    rather than raised here; analysis-level entry points refuse it.
+    rather than raised here; analysis-level entry points refuse it.  A D of
+    more than max(DEFAULT_SIZE_GUARD, size_guard) elements is refused with
+    OrderBoundExceeded before p is tested or any element is listed.
     """
+    bound = max(DEFAULT_SIZE_GUARD, size_guard or 0)
+    total = sum(orders)
+    # p^k > bound for k past the bound's bit length, as p >= 2
+    if p > 1 and min(orders, default=0) >= 1 and \
+            p ** min(total, bound.bit_length()) > bound:
+        raise OrderBoundExceeded(
+            f"D of order {p}^{total} exceeds the bound {bound}")
     D = AbelianPGroup(p, orders)
     E = build_group([g for g, _ in generators], order_bound)
     if E.n % p == 0:
@@ -456,7 +457,8 @@ class BlockContext:
 
     options are the user's settings, held read-only.  cache holds what is
     derived once per block and reused: Irr(B) under "irr_B", IBr(B) under
-    "ibr", module representations under tuple keys tagged "module"
+    "ibr", the decomposition matrix under "decomposition", module
+    representations under tuple keys tagged "module"
     (induced), "vchi" (the lines they are induced from) and "simple" (mod
     p), and Ext classes under tuple keys tagged "ext" (block pairs) or
     "abelian" (the pure contexts of ext_abelian_oracle).

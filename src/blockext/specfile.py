@@ -209,7 +209,8 @@ def to_context(spec: BlockSpec, overrides: dict | None = None) -> BlockContext:
     gens = [(perm, [list(row) for row in action])
             for _, perm, action in spec.generators]
     G = validate_block_spec(spec.p, list(spec.d_orders), gens,
-                            order_bound=pick("order_bound", 512))
+                            order_bound=pick("order_bound", 512),
+                            size_guard=pick("size_guard"))
     keys = ("precision", "enum_bound", "size_guard")
     return BlockContext(G, pick("phi_exponent", 1),
                         {k: pick(k) for k in keys if pick(k) is not None})

@@ -81,7 +81,7 @@ def test_criterion_03_classification(example_a, example_b, example_c):
 def _disjoint_pairs(ctx):
     irr = build_irr_B(ctx)
     supp = [frozenset(j for j, m in enumerate(row) if m)
-            for row in decomposition_matrix(ctx, irr)]
+            for row in decomposition_matrix(ctx)]
     return irr, [(a, b) for a in range(len(irr)) for b in range(len(irr))
                  if not supp[a] & supp[b]]
 

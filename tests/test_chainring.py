@@ -187,9 +187,8 @@ def test_embed_cyclo():
     i = R.embed_cyclo(zeta(4))
     assert eq(R.mul(i, i), R.from_int(-1))
     # same value at different conductors embeds identically
-    z12 = zeta(12)
-    assert eq(R.embed_cyclo(z12 ** 3), R.embed_cyclo(zeta(4)))
-    assert eq(R.embed_cyclo(z12 ** 4), R.embed_cyclo(zeta(3)))
+    assert eq(R.embed_cyclo(zeta(12, 3)), R.embed_cyclo(zeta(4)))
+    assert eq(R.embed_cyclo(zeta(12, 4)), R.embed_cyclo(zeta(3)))
     # rational with p'-denominator
     half = R.embed_cyclo(CycloNumber.from_rational(Fraction(1, 2)))
     assert eq(R.mul(R.from_int(2), half), R.one)

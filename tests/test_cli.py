@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,44 @@ def test_enum_bound_exits_3(capsys):
 def test_bound_below_one_exits_2(capsys, argv):
     assert main(argv) == 2
     assert "below 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [1000000000000000003, 1000000007 * 1000000009],
+                         ids=["prime", "composite"])
+def test_huge_d_is_refused_before_p_is_tested(tmp_path, capsys, p):
+    # |D| = p^2 is past the default size guard: validation refuses it
+    # before the primality test and before listing an element of D
+    spec = tmp_path / "big.blockspec"
+    spec.write_text((CORPUS / "c9.blockspec").read_text()
+                    .replace("p: 3", f"p: {p}"))
+    started = time.monotonic()
+    assert main(["validate", str(spec)]) == 3
+    # a lower guard keeps the default bound, a higher one raises it
+    assert main(["chars", str(spec), "--size-guard=1"]) == 3
+    assert main(["validate", str(spec), "--size-guard=1000000"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: bound exceeded: D of order {p}^2 exceeds the "
+                   f"bound {b}" for b in (250000, 250000, 1000000)]
+    code, doc = run(capsys, "verify", str(spec))
+    assert code == 1 and doc["specs"][0]["checks"] == [
+        {"name": "validate", "status": "fail",
+         "detail": f"D of order {p}^2 exceeds the bound 250000"}]
+    assert time.monotonic() - started < 1
+
+
+def test_verify_reports_an_order_bound_in_a_check_as_bound(capsys,
+                                                          monkeypatch):
+    # the pure-D oracle validates D again at the default bound, so a D
+    # admitted under a raised --size-guard meets that bound inside a check
+    from blockext import cli
+    from blockext.errors import OrderBoundExceeded
+
+    def refuse(*args, **kwargs):
+        raise OrderBoundExceeded("D of order 3^2 exceeds the bound 8")
+    monkeypatch.setattr(cli, "ext_abelian_oracle", refuse)
+    code, doc = run(capsys, "verify", str(CORPUS / "c9.blockspec"))
+    check = {c["name"]: c for c in doc["specs"][0]["checks"]}
+    assert code == 3 and check["closed_vs_oracle"]["status"] == "bound"
 
 
 def test_verify_refuses_a_setting_below_one_once(tmp_path, capsys,

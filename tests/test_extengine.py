@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from blockext import (BlockContext, LinearChar, OModuleClass, build_irr_B,
-                      ext1_modp, ext_abelian_closed, ext_abelian_oracle,
-                      ext_block, ext_shape_classify, reduce_to_brauer,
-                      validate_block_spec)
+                      chain_ring, decomposition_matrix, ext1_modp,
+                      ext_abelian_closed, ext_abelian_oracle, ext_block,
+                      ext_shape_classify, validate_block_spec)
 from blockext.errors import (BlockExtError, PrecisionUnstable,
                              SizeGuardExceeded)
 from blockext import extengine
@@ -107,7 +107,7 @@ def test_precision_too_low_raises_before_building(example_a):
     before = set(example_a.cache)
     with pytest.raises(PrecisionUnstable, match="N >= 2"):
         ext_block(example_a, irr[0], irr[2], 2,
-                  ring=block_ring(example_a, precision=1))
+                  ring=chain_ring(3, 1, 1, 4))
     assert set(example_a.cache) == before  # no module was built
 
 
@@ -234,9 +234,9 @@ def test_ext1_modp_example_a(example_a):
     lin = [c for c in irr if c.degree == 1]
     assert ext1_modp(example_a, lin[0], lin[1]) == 1
     # UCT against k (x) Ext^2 for disjoint reductions
-    r0 = set(reduce_to_brauer(example_a, lin[0]))
-    r1 = set(reduce_to_brauer(example_a, lin[1]))
-    assert not (r0 & r1)
+    dec = decomposition_matrix(example_a)
+    r0, r1 = (dec[irr.index(c)] for c in lin[:2])
+    assert not any(a and b for a, b in zip(r0, r1))
     e2 = ext_block(example_a, lin[0], lin[1], 2)
     assert e2.free_rank + len(e2.torsion) == 1
 

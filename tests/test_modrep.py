@@ -5,10 +5,11 @@ import pytest
 
 from blockext import (BlockContext, ModuleRep, build_irr_B, build_module_rep,
                       chain_ring)
-from blockext.chars import char_table, induce
+from blockext.chars import char_table
 from blockext.errors import BlockExtError
 from blockext.groups import build_group
 from blockext.modrep import _vchi_matrices
+from charref import induce
 
 
 @pytest.fixture(scope="module")
