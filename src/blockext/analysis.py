@@ -220,12 +220,9 @@ def ext_quiver(ctx: BlockContext) -> dict:
                 if w not in seen:
                     seen.add(w)
                     frontier.append(w)
-    connected = len(seen) == n
-    degenerate = len(ctx.G.D.elements()) == 1
     return {
         "vertices": n,
         "dims": dims,
         "edges": [list(e) for e in edges],
-        "connected": connected,
-        "out_of_hypothesis": degenerate and n > 1,
+        "connected": len(seen) == n,
     }

@@ -41,7 +41,7 @@ factorization, and hence Smith normal forms, cheap.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
@@ -257,8 +257,6 @@ class ChainRing:
         self.one = _frozen(self.from_int(1))
         self._inv_cache: dict[tuple, np.ndarray] = {}
         self._embed_cache: dict[int, np.ndarray] = {}
-        self._mult_tensor = None
-        self._vp_table = None
 
     def key(self):
         return (self.p, self.N, self.a, self.mprime)
@@ -395,20 +393,17 @@ class ChainRing:
     # contractions of length dim, reduced in between, in self.dtype; the
     # overflow bound is derived in the chainlinalg docstring.
 
-    @property
+    @cached_property
     def mult_tensor(self) -> np.ndarray:
         """T with (u*v)[k] = sum_{i,j} u[i] v[j] T[k,i,j] (mod p^N); the
         slice T[:, i*e + j, :] is C_h^i (x) C_Psi^j, the operator of
         x^i z^j."""
-        if self._mult_tensor is None:
-            pN = self.pN
-            xs = [_matpow(self._cx, i, pN) for i in range(self.f)]
-            zs = [_matpow(self._cz, j, pN) for j in range(self.e)]
-            ops = np.array([np.kron(X, Z) % pN for X in xs for Z in zs],
-                           dtype=self.dtype)
-            self._mult_tensor = _frozen(
-                np.ascontiguousarray(ops.transpose(1, 0, 2)))
-        return self._mult_tensor
+        pN = self.pN
+        xs = [_matpow(self._cx, i, pN) for i in range(self.f)]
+        zs = [_matpow(self._cz, j, pN) for j in range(self.e)]
+        ops = np.array([np.kron(X, Z) % pN for X in xs for Z in zs],
+                       dtype=self.dtype)
+        return _frozen(np.ascontiguousarray(ops.transpose(1, 0, 2)))
 
     def mul_table(self, V) -> np.ndarray:
         """W[..., i, k] = (x^i z^j * v)[k] for basis index i: v as an operator."""
@@ -445,18 +440,20 @@ class ChainRing:
                 part %= self.pN
         return out.reshape(out.shape[:-1] + (m, d))
 
+    @cached_property
+    def _vp_table(self) -> np.ndarray:
+        """v_p on [0, p^K), K <= N, at most 2^16 entries; entry 0 is K."""
+        p, K = self.p, self.N
+        while K > 1 and p ** K > 1 << 16:
+            K -= 1
+        tab = np.zeros(p ** K, dtype=np.int16)
+        for k in range(1, K + 1):
+            tab[::p ** k] += 1
+        return _frozen(tab)
+
     def valuations(self, A) -> np.ndarray:
         """val() of every element of an element array, as int64."""
-        p, N, e = self.p, self.N, self.e
-        if self._vp_table is None:
-            K = N  # a table on [0, p^K) with K <= N, at most 2^16 entries
-            while K > 1 and p ** K > 1 << 16:
-                K -= 1
-            tab = np.zeros(p ** K, dtype=np.int16)
-            for k in range(1, K + 1):
-                tab[::p ** k] += 1
-            self._vp_table = tab
-        tab = self._vp_table
+        N, e, tab = self.N, self.e, self._vp_table
         K, width = int(tab[0]), len(tab)
         vp = tab[(A if width == self.pN else A % width).astype(np.intp,
                                                               copy=False)]

@@ -241,7 +241,7 @@ def char_table(E: FiniteGroup) -> tuple[ClassFunction, ...]:
 
 
 def irr_over_phi(F: FiniteGroup, z_local: int, zorder: int,
-                 phi_exponent: int) -> list[ClassFunction]:
+                 phi_exponent: int) -> tuple[ClassFunction, ...]:
     """{chi in Irr(F) : chi restricted to Z is chi(1) . phi}.
 
     Z = <z_local> must be central in F; phi sends z_local to
@@ -252,11 +252,8 @@ def irr_over_phi(F: FiniteGroup, z_local: int, zorder: int,
         raise BlockExtError("Z is not central in F")
     assert F.order_of[z_local] == zorder
     phi_val = zeta(zorder, phi_exponent % zorder) if zorder > 1 else _ONE
-    out = []
-    for ch in char_table(F):
-        if ch(z_local) == phi_val * ch.degree():
-            out.append(ch)
-    return out
+    return tuple(ch for ch in char_table(F)
+                 if ch(z_local) == phi_val * ch.degree())
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +264,11 @@ class BlockCharacter:
     """(lambda, chi) with lambda an orbit representative, chi over phi."""
 
     def __init__(self, lam: LinearChar, chi: ClassFunction,
-                 stab: FiniteGroup, stab_embed: list[int], e_order: int):
+                 stab: FiniteGroup, stab_embed, e_order: int):
         self.lam = lam
         self.chi = chi
         self.stab = stab
-        self.stab_embed = stab_embed
+        self.stab_embed = tuple(stab_embed)
         self.degree = chi.degree() * (e_order // stab.n)
 
     def key(self):
@@ -281,8 +278,13 @@ class BlockCharacter:
         return f"BlockCharacter(lam={self.lam.vec}, degree={self.degree})"
 
 
-def build_irr_B(ctx: BlockContext) -> list[BlockCharacter]:
-    """Irr(B) as BlockCharacters, under a Clifford certificate.
+def build_irr_B(ctx: BlockContext) -> tuple[BlockCharacter, ...]:
+    """Irr(B) as BlockCharacters, built once per block."""
+    return ctx.memo("irr_B", _irr_B, ctx)
+
+
+def _irr_B(ctx: BlockContext) -> tuple[BlockCharacter, ...]:
+    """Irr(B) under a Clifford certificate.
 
     Induction is a bijection Irr(D x| E_lam | lam) -> Irr(G | lam), and
     Irr(G | lam) meets Irr(G | lam') only when lam and lam' are E-conjugate
@@ -295,9 +297,6 @@ def build_irr_B(ctx: BlockContext) -> list[BlockCharacter]:
     |orbit| |E_lam| = |E| (E_lam is the whole stabilizer), and that the chi
     have distinct sort keys; sum deg^2 = |G|/|Z| then says none is missing.
     """
-    cached = ctx.cache.get("irr_B")
-    if cached is not None:
-        return cached
     G = ctx.G
     zorder = len(G.Z)
     orbits = G.char_orbits()
@@ -321,18 +320,14 @@ def build_irr_B(ctx: BlockContext) -> list[BlockCharacter]:
                    for chi in chis)
     if sum(c.degree ** 2 for c in out) != G.order // zorder:
         raise BlockExtError("degree sum check failed for Irr(B)")
-    ctx.cache["irr_B"] = out
-    return out
+    return tuple(out)
 
 
-def brauer_chars(ctx: BlockContext) -> list[ClassFunction]:
-    """IBr(B) identified with Irr(E | phi)."""
-    cached = ctx.cache.get("ibr")
-    if cached is None:
-        G = ctx.G
-        cached = irr_over_phi(G.E, G.z_gen, len(G.Z), ctx.phi_exponent)
-        ctx.cache["ibr"] = cached
-    return cached
+def brauer_chars(ctx: BlockContext) -> tuple[ClassFunction, ...]:
+    """IBr(B) identified with Irr(E | phi), built once per block."""
+    G = ctx.G
+    return ctx.memo("ibr", irr_over_phi, G.E, G.z_gen, len(G.Z),
+                    ctx.phi_exponent)
 
 
 def decomposition_matrix(ctx: BlockContext) -> tuple[tuple[int, ...], ...]:
@@ -345,9 +340,10 @@ def decomposition_matrix(ctx: BlockContext) -> tuple[tuple[int, ...], ...]:
     every row must sum, weighted by the psi degrees, to the degree of its
     character.
     """
-    cached = ctx.cache.get("decomposition")
-    if cached is not None:
-        return cached
+    return ctx.memo("decomposition", _decomposition, ctx)
+
+
+def _decomposition(ctx: BlockContext) -> tuple[tuple[int, ...], ...]:
     ibr = brauer_chars(ctx)
     rows = []
     for c in build_irr_B(ctx):
@@ -361,8 +357,7 @@ def decomposition_matrix(ctx: BlockContext) -> tuple[tuple[int, ...], ...]:
             row.append(int(mult))
         assert sum(m * psi.degree() for m, psi in zip(row, ibr)) == c.degree
         rows.append(tuple(row))
-    cached = ctx.cache["decomposition"] = tuple(rows)
-    return cached
+    return tuple(rows)
 
 
 def lifts_of(ctx: BlockContext, psi_index: int) -> list[BlockCharacter]:

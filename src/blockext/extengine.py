@@ -32,7 +32,8 @@ import numpy as np
 
 from .chainlinalg import ChainComplex, free_basis, homology_of_complex
 from .chainring import BLOCK, ChainRing, chain_ring
-from .chars import BlockCharacter, brauer_chars
+from .chars import (BlockCharacter, brauer_chars, build_irr_B,
+                    decomposition_matrix)
 from .errors import (BlockExtError, CrossCheckMismatch, PrecisionUnstable,
                      SizeGuardExceeded)
 from .groups import (DEFAULT_SIZE_GUARD, AbelianPGroup, BlockContext,
@@ -251,7 +252,7 @@ def ext_abelian_closed(D: AbelianPGroup, lam1: LinearChar, lam2: LinearChar,
 @cache
 def abelian_context(p: int, orders: tuple[int, ...]) -> BlockContext:
     """The block context with trivial E for plain abelian Ext, one per
-    (p, orders); its cache memoizes ext_abelian_oracle."""
+    (p, orders); its memo holds the classes of ext_abelian_oracle."""
     t = len(orders)
     ident = tuple(tuple(1 if a == b else 0 for b in range(t))
                   for a in range(t))
@@ -262,7 +263,7 @@ def abelian_context(p: int, orders: tuple[int, ...]) -> BlockContext:
 def rank1_rep(ctx: BlockContext, lam: LinearChar, ring: ChainRing) -> ModuleRep:
     """The line O_lam with trivial E-action (pure-D contexts)."""
     E = ctx.G.E
-    return ModuleRep(ring, E, list(range(E.n)), [lam],
+    return ModuleRep(ring, E, range(E.n), [lam],
                      np.broadcast_to(ring.one, (E.n, 1, 1, ring.dim)))
 
 
@@ -273,24 +274,24 @@ def ext_abelian_oracle(D: AbelianPGroup, lam1: LinearChar, lam2: LinearChar,
     the precision.  A precision below 1 is refused, and the size guard is
     checked on every call, so a memo hit trips it as a miss would."""
     ctx = abelian_context(D.p, tuple(D.orders))
-    Dc = ctx.G.D
-    mu = lam1.inverse().mul(lam2)
+    mu = lam1.inverse().mul(lam2).vec
     N = default_precision(max(D.orders, default=0)) if precision is None \
         else precision
-    key = ("abelian", mu.vec, i, N)
-    out = ctx.cache.get(key)
-    if out is None:
-        if N < 1:
-            raise BlockExtError(f"precision {N} is below 1")
-        R = chain_ring(D.p, N, max(D.orders, default=0), 1)
-        triv = LinearChar(Dc, (0,) * Dc.t)
-        m = LinearChar(Dc, mu.vec)
-        out = ext_oracle(ctx.G, rank1_rep(ctx, triv, R),
-                         rank1_rep(ctx, m, R), (i,), R,
-                         size_guard=size_guard)[i]
-        ctx.cache[key] = out
-    _check_size(Dc.order - 1, max(i, 1), 1, size_guard)
+    out = ctx.memo(("abelian", mu, i, N), _abelian_class, ctx, mu, i, N,
+                   size_guard)
+    _check_size(ctx.G.D.order - 1, max(i, 1), 1, size_guard)
     return out
+
+
+def _abelian_class(ctx: BlockContext, mu: tuple, i: int, N: int,
+                   size_guard: int | None) -> OModuleClass:
+    if N < 1:
+        raise BlockExtError(f"precision {N} is below 1")
+    D = ctx.G.D
+    R = chain_ring(D.p, N, max(D.orders, default=0), 1)
+    return ext_oracle(ctx.G, rank1_rep(ctx, LinearChar(D, (0,) * D.t), R),
+                      rank1_rep(ctx, LinearChar(D, mu), R), (i,), R,
+                      size_guard=size_guard)[i]
 
 
 # -- block-level dispatch -------------------------------------------------
@@ -308,7 +309,7 @@ def _shapiro_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
     other = c2 if via == 1 else c1
     line = vchi_rep(ctx, pivot, R)
     res = build_module_rep(ctx, other, R).restrict_to(
-        line.F, list(line.embed), list(line.embed))
+        line.F, line.embed, line.embed)
     M1, M2 = (line, res) if via == 1 else (res, line)
     return ext_oracle(G, M1, M2, (i,), R,
                       size_guard=ctx.options.get("size_guard"))[i]
@@ -342,36 +343,36 @@ def _closed_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
 
 def ext_block(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
               i: int, mode: str = "crosscheck", *,
-              ring: ChainRing | None = None, via: int = 1) -> OModuleClass:
-    """Ext^i_B between the O-forms of two block characters."""
+              via: int = 1) -> OModuleClass:
+    """Ext^i_B between the O-forms of two block characters, at the block's
+    precision; computed once per pair, degree, mode and via."""
     if mode not in ("closed", "oracle", "crosscheck"):
         raise BlockExtError(f"unknown ext mode {mode!r}")
     if i not in (0, 1, 2):
         raise BlockExtError("block Ext is provided in degrees 0..2 only")
     if via not in (1, 2):
         raise BlockExtError("via selects which character to reduce: 1 or 2")
-    R = ring or block_ring(ctx)
+    R = block_ring(ctx)
     smith_bound(ctx.G.D, R)  # a too-low precision fails before any build
-    key = ("ext", c1.key(), c2.key(), i, mode, via, R.key())
-    out = ctx.cache.get(key)
-    if out is not None:
-        return out
+    return ctx.memo(("ext", c1.key(), c2.key(), i, mode, via, R.key()),
+                    _ext_class, ctx, c1, c2, i, mode, via, R)
+
+
+def _ext_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
+               i: int, mode: str, via: int, R: ChainRing) -> OModuleClass:
     if mode == "closed":
-        out = _closed_class(ctx, c1, c2, i, R)
-    elif mode == "oracle":
-        out = _shapiro_class(ctx, c1, c2, i, R, via)
-    else:
-        a = _closed_class(ctx, c1, c2, i, R)
-        b = _shapiro_class(ctx, c1, c2, i, R, via)
-        if a != b:
-            err = CrossCheckMismatch(
-                f"closed {a.pretty()} != oracle {b.pretty()} at degree {i}")
-            err.closed = a
-            err.oracle = b
-            raise err
-        out = a
-    ctx.cache[key] = out
-    return out
+        return _closed_class(ctx, c1, c2, i, R)
+    if mode == "oracle":
+        return _shapiro_class(ctx, c1, c2, i, R, via)
+    a = _closed_class(ctx, c1, c2, i, R)
+    b = _shapiro_class(ctx, c1, c2, i, R, via)
+    if a != b:
+        err = CrossCheckMismatch(
+            f"closed {a.pretty()} != oracle {b.pretty()} at degree {i}")
+        err.closed = a
+        err.oracle = b
+        raise err
+    return a
 
 
 def ext_shape_classify(e: OModuleClass, i: int) -> dict:
@@ -403,53 +404,51 @@ def ext_shape_classify(e: OModuleClass, i: int) -> dict:
 
 # -- mod-p dimensions -----------------------------------------------------
 
-def _reduce_rep(rep: ModuleRep, ring0: ChainRing) -> ModuleRep:
-    """Reduction mod pi: D acts trivially, E-matrices drop to the residue
-    field (p-power roots of unity are 1 mod pi)."""
-    big = rep.ring
-    triv = LinearChar(rep.dchars[0].group, (0,) * rep.dchars[0].group.t)
-    return ModuleRep(ring0, rep.F, list(rep.embed), [triv] * rep.rank,
-                     rep.mats[..., ::big.e] % big.p)
-
-
-def _modp_dim_ext1(ctx: BlockContext, rep1: ModuleRep,
-                   rep2: ModuleRep) -> int:
-    """dim_k Ext^1_kG of two reductions: H^1 of the E-fixed bar complex
-    over the residue field (higher E-cohomology vanishes, |E| prime to p)."""
-    cx = _fixed_bar_complex(rep1.ring, ctx.G, ctx.G.D.elements()[1:], rep1,
-                            rep2, 2, ctx.options.get("size_guard"))
-    free, tors = homology_of_complex(cx, 1, bound=0, acyclic=False)
-    assert not tors, "residue field homology cannot carry torsion"
-    return free
-
-
 def ext1_modp(ctx: BlockContext, c1: BlockCharacter,
               c2: BlockCharacter) -> int:
-    """dim_k Ext^1_kG between the reductions mod pi of the two lattices."""
-    R = block_ring(ctx)
-    ring0 = R.residue_ring()
-    r1 = _reduce_rep(build_module_rep(ctx, c1, R), ring0)
-    r2 = _reduce_rep(build_module_rep(ctx, c2, R), ring0)
-    return _modp_dim_ext1(ctx, r1, r2)
+    """dim_k Ext^1_kG between the reductions mod pi of two members of
+    build_irr_B(ctx).  D acts trivially on the reduction of M_c, as p-power
+    roots of unity are 1 mod pi, and kE is semisimple, so it is the sum of
+    the simple modules S_psi with the decomposition numbers d_{c psi} as
+    multiplicities; Ext^1 is additive, so the dimension is the sum of
+    d_{c1 a} d_{c2 b} dim_k Ext^1_kG(S_a, S_b) over the simples' table."""
+    irr, dec = build_irr_B(ctx), decomposition_matrix(ctx)
+    r1, r2 = dec[irr.index(c1)], dec[irr.index(c2)]
+    return sum(m1 * m2 * ext1_modp_simples(ctx, a, b)
+               for a, m1 in enumerate(r1) if m1
+               for b, m2 in enumerate(r2) if m2)
 
 
 def simple_rep(ctx: BlockContext, psi_index: int, ring0: ChainRing) -> ModuleRep:
     """The simple kG-module of a Brauer character: D acts trivially.
     Built once per ring, then read from the block's cache."""
-    key = ("simple", psi_index, ring0.key())
-    rep = ctx.cache.get(key)
-    if rep is None:
-        E = ctx.G.E
-        psi = brauer_chars(ctx)[psi_index]
-        triv = LinearChar(ctx.G.D, (0,) * ctx.G.D.t)
-        rep = ModuleRep(ring0, E, list(range(E.n)), [triv] * psi.degree(),
-                        _vchi_matrices(ring0, E, psi))
-        ctx.cache[key] = rep
-    return rep
+    return ctx.memo(("simple", psi_index, ring0.key()), _simple_rep, ctx,
+                    psi_index, ring0)
+
+
+def _simple_rep(ctx: BlockContext, psi_index: int,
+                ring0: ChainRing) -> ModuleRep:
+    E, D = ctx.G.E, ctx.G.D
+    psi = brauer_chars(ctx)[psi_index]
+    return ModuleRep(ring0, E, range(E.n),
+                     [LinearChar(D, (0,) * D.t)] * psi.degree(),
+                     _vchi_matrices(ring0, E, psi))
 
 
 def ext1_modp_simples(ctx: BlockContext, a: int, b: int) -> int:
-    """dim_k Ext^1_kG between two simple modules of the block."""
+    """dim_k Ext^1_kG between two simple modules of the block, computed
+    once per block: the table that uct and quiver both read."""
+    return ctx.memo(("ext1", a, b), _modp_dim_ext1, ctx, a, b)
+
+
+def _modp_dim_ext1(ctx: BlockContext, a: int, b: int) -> int:
+    """H^1 of the E-fixed bar complex over the residue field (higher
+    E-cohomology vanishes, |E| prime to p)."""
     ring0 = block_ring(ctx).residue_ring()
-    return _modp_dim_ext1(ctx, simple_rep(ctx, a, ring0),
-                          simple_rep(ctx, b, ring0))
+    cx = _fixed_bar_complex(ring0, ctx.G, ctx.G.D.elements()[1:],
+                            simple_rep(ctx, a, ring0),
+                            simple_rep(ctx, b, ring0), 2,
+                            ctx.options.get("size_guard"))
+    free, tors = homology_of_complex(cx, 1, bound=0, acyclic=False)
+    assert not tors, "residue field homology cannot carry torsion"
+    return free

@@ -456,12 +456,13 @@ class BlockContext:
     """A validated block B = O(D x| E) e_phi plus its working options.
 
     options are the user's settings, held read-only.  cache holds what is
-    derived once per block and reused: Irr(B) under "irr_B", IBr(B) under
-    "ibr", the decomposition matrix under "decomposition", module
-    representations under tuple keys tagged "module"
-    (induced), "vchi" (the lines they are induced from) and "simple" (mod
-    p), and Ext classes under tuple keys tagged "ext" (block pairs) or
-    "abelian" (the pure contexts of ext_abelian_oracle).
+    derived once per block, all of it immutable; memo is its one reader
+    and writer.  Keys: "irr_B", "ibr" and "decomposition" for Irr(B),
+    IBr(B) and the decomposition matrix; tuples tagged "module" (induced),
+    "vchi" (the lines they are induced from) and "simple" (mod p) for
+    module representations; "ext" (block pairs) and "abelian" (the pure
+    contexts of ext_abelian_oracle) for Ext classes; "ext1" for dim_k
+    Ext^1 between simple modules.
     """
 
     G: SemidirectGroup
@@ -477,6 +478,15 @@ class BlockContext:
             raise SpecValidationError(
                 "phi-not-faithful",
                 f"exponent {self.phi_exponent} is not faithful on Z of order {zorder}")
+
+    def memo(self, key, build, *args):
+        """The value stored under key, or build(*args), stored there first."""
+        try:
+            return self.cache[key]
+        except KeyError:
+            pass  # build outside the handler: its errors carry no KeyError
+        out = self.cache[key] = build(*args)
+        return out
 
     @property
     def z_order(self) -> int:

@@ -8,7 +8,7 @@ linear chi is a rank-1 line; for chi(1) > 1 it is split out of the
 regular module by the central idempotent e_chi refined with a cyclic
 eigen-idempotent.  Induction to G is the usual block construction along
 coset representatives.  Lines and induced modules are built once per
-block and ring and kept in BlockContext.cache.
+block and ring, through BlockContext.memo.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from .groups import BlockContext, FiniteGroup, LinearChar, SemidirectGroup
 class ModuleRep:
     """A G = D x| F module: diagonal D-characters plus F-matrices."""
 
-    def __init__(self, ring: ChainRing, F: FiniteGroup, embed: list[int],
+    def __init__(self, ring: ChainRing, F: FiniteGroup, embed,
                  dchars: list[LinearChar], mats):
         self.ring = ring
         self.F = F
-        self.embed = embed          # F's element indices inside the parent E
+        self.embed = tuple(embed)   # F's element indices inside the parent E
         self.dchars = tuple(dchars)
         self.rank = len(self.dchars)
         self.mats = np.array(mats, dtype=ring.dtype)  # (F.n, rank, rank, dim)
@@ -58,11 +58,11 @@ class ModuleRep:
                         "module violates the semidirect relation")
         return True
 
-    def restrict_to(self, sub: FiniteGroup, sub_embed_in_F: list[int],
-                    parent_embed: list[int]) -> "ModuleRep":
+    def restrict_to(self, sub: FiniteGroup, sub_embed_in_F,
+                    parent_embed) -> "ModuleRep":
         """Restriction along a subgroup of F given by F-indices."""
         return ModuleRep(self.ring, sub, parent_embed, self.dchars,
-                         self.mats[sub_embed_in_F])
+                         self.mats[list(sub_embed_in_F)])
 
 
 def kron_array(ring: ChainRing, A, B) -> np.ndarray:
@@ -132,24 +132,24 @@ def vchi_rep(ctx: BlockContext, c: BlockCharacter,
              ring: ChainRing) -> ModuleRep:
     """lam (x) V_chi over D x| E_lam, the module M_c is induced from;
     built once per ring, then read from the block's cache."""
-    key = ("vchi", c.key(), ring.key())
-    rep = ctx.cache.get(key)
-    if rep is None:
-        rep = ModuleRep(ring, c.stab, list(c.stab_embed),
-                        [c.lam] * c.chi.degree(),
-                        _vchi_matrices(ring, c.stab, c.chi))
-        ctx.cache[key] = rep
-    return rep
+    return ctx.memo(("vchi", c.key(), ring.key()), _vchi_rep, c, ring)
+
+
+def _vchi_rep(c: BlockCharacter, ring: ChainRing) -> ModuleRep:
+    return ModuleRep(ring, c.stab, c.stab_embed, [c.lam] * c.chi.degree(),
+                     _vchi_matrices(ring, c.stab, c.chi))
 
 
 def build_module_rep(ctx: BlockContext, c: BlockCharacter,
                      ring: ChainRing) -> ModuleRep:
     """The G-module of the block character, induced from D x| E_lambda;
     built and verified once per ring, then read from the block's cache."""
-    key = ("module", c.key(), ring.key())
-    rep = ctx.cache.get(key)
-    if rep is not None:
-        return rep
+    return ctx.memo(("module", c.key(), ring.key()), _induced_rep, ctx, c,
+                    ring)
+
+
+def _induced_rep(ctx: BlockContext, c: BlockCharacter,
+                 ring: ChainRing) -> ModuleRep:
     G = ctx.G
     E = G.E
     stab_set = set(c.stab_embed)
@@ -175,7 +175,6 @@ def build_module_rep(ctx: BlockContext, c: BlockCharacter,
             h = E.table[E.inverse[reps[j]]][et]
             mats[e, j * deg:(j + 1) * deg, i * deg:(i + 1) * deg] = \
                 W[pos_stab[h]]
-    rep = ModuleRep(ring, E, list(range(E.n)), dchars, mats)
+    rep = ModuleRep(ring, E, range(E.n), dchars, mats)
     rep.verify(G)
-    ctx.cache[key] = rep
     return rep

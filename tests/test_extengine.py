@@ -1,19 +1,25 @@
 """The Ext engine: closed forms, the bar oracle, dispatch, mod-p dims."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from blockext import (BlockContext, LinearChar, OModuleClass, build_irr_B,
-                      chain_ring, decomposition_matrix, ext1_modp,
-                      ext_abelian_closed, ext_abelian_oracle, ext_block,
-                      ext_shape_classify, validate_block_spec)
+from blockext import (BlockContext, LinearChar, OModuleClass, brauer_chars,
+                      build_irr_B, chain_ring, cli, decomposition_matrix,
+                      ext1_modp, ext_abelian_closed, ext_abelian_oracle,
+                      ext_block, ext_shape_classify, validate_block_spec)
 from blockext.errors import (BlockExtError, PrecisionUnstable,
                              SizeGuardExceeded)
 from blockext import extengine
 from blockext.extengine import (abelian_context, block_ring,
                                 ext1_modp_simples, ext_oracle, rank1_rep)
+from blockext.modrep import ModuleRep
 from blockext.omodule import val_one_minus_zeta
+from blockext.specfile import load_spec, to_context
+from modpref import ext1_of_reductions
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def all_chars(D):
@@ -103,12 +109,13 @@ def test_precision_too_low_raises_before_building(example_a):
     triv = LinearChar(D, (0,))
     with pytest.raises(PrecisionUnstable, match="N >= 3"):
         ext_abelian_oracle(D, triv, triv, 2, precision=2)
-    irr = build_irr_B(example_a)
-    before = set(example_a.cache)
+    ctx = BlockContext(example_a.G, example_a.phi_exponent, {"precision": 1})
+    assert block_ring(ctx) is chain_ring(3, 1, 1, 4)
+    irr = build_irr_B(ctx)
+    before = set(ctx.cache)
     with pytest.raises(PrecisionUnstable, match="N >= 2"):
-        ext_block(example_a, irr[0], irr[2], 2,
-                  ring=chain_ring(3, 1, 1, 4))
-    assert set(example_a.cache) == before  # no module was built
+        ext_block(ctx, irr[0], irr[2], 2)
+    assert set(ctx.cache) == before  # no module was built
 
 
 def test_size_guard_trips():
@@ -247,3 +254,54 @@ def test_simple_ext1_quiver_dims(example_a):
     # H^1(C_3, k) is one-dimensional and the C_4-action swaps the weights
     assert dims[0][1] == 1 and dims[1][0] == 1
     assert dims[0][0] == 0 and dims[1][1] == 0
+
+
+@pytest.mark.parametrize("name", ["a4", "example-a", "example-b", "q8-c3xc3",
+                                  "q8z-c3xc3", "c5-c4"])
+def test_ext1_modp_matches_the_reduced_lattices(name):
+    # the simple-module table weighted by decomposition numbers, against
+    # the bar complex of the two reductions mod pi
+    if name == "c5-c4":  # C_4 acting on C_5 by a -> 2a: a one-way quiver
+        G = validate_block_spec(5, [1], [((1, 2, 3, 0), [[2]])])
+        ctx = BlockContext(G, 0)
+        assert ext1_modp_simples(ctx, 0, 3) != ext1_modp_simples(ctx, 3, 0)
+    else:
+        ctx = to_context(load_spec(CORPUS / f"{name}.blockspec"))
+    irr = build_irr_B(ctx)
+    for c1 in irr:
+        for c2 in irr:
+            assert ext1_modp(ctx, c1, c2) == ext1_of_reductions(ctx, c1, c2)
+
+
+# -- the block memo -------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["example-a", "q8-c3xc3"])
+def test_memoized_values_cannot_be_edited(name):
+    ctx = to_context(load_spec(CORPUS / f"{name}.blockspec"))
+    checks = []
+    cli._chars_body(ctx)  # what verify computes, on a context we keep
+    cli._verify_block(ctx, checks, "crosscheck")
+    assert all(c["status"] == "pass" for c in checks)
+    # every kind of module the block memo holds is among those tried
+    assert {k[0] for k in ctx.cache if isinstance(k, tuple)} >= \
+        {"vchi", "module", "simple"}
+    irr = build_irr_B(ctx)
+    n = len(irr)
+    with pytest.raises(AttributeError):
+        build_irr_B(ctx).pop()
+    with pytest.raises(AttributeError):
+        brauer_chars(ctx).append(brauer_chars(ctx)[0])
+    with pytest.raises(TypeError):
+        decomposition_matrix(ctx)[0][0] = 9
+    for c in irr:
+        with pytest.raises(TypeError):
+            c.stab_embed[0] = 1
+    reps = [v for v in ctx.cache.values() if isinstance(v, ModuleRep)]
+    for rep in reps:
+        with pytest.raises(TypeError):
+            rep.embed[0] = 1
+        with pytest.raises(ValueError):
+            rep.mats[0] = 0
+    assert len(build_irr_B(ctx)) == n
+    if name == "example-a":
+        assert n == 3

@@ -159,6 +159,31 @@ class TestValidation:
         assert exc.value.code == "phi-not-faithful"
 
 
+class TestMemo:
+    def test_memo_builds_once_per_key(self, example_a):
+        ctx = BlockContext(example_a.G, phi_exponent=1)
+        calls = []
+
+        def build(x, y):
+            calls.append((x, y))
+            return x + y
+        assert ctx.memo(("t", 1), build, 2, 3) == 5
+        assert ctx.memo(("t", 1), build, 7, 7) == 5  # read, not rebuilt
+        assert ctx.memo(("t", 2), build, 7, 7) == 14
+        assert calls == [(2, 3), (7, 7)]
+
+    def test_memo_stores_nothing_when_the_build_raises(self, example_a):
+        ctx = BlockContext(example_a.G, phi_exponent=1)
+
+        def build():
+            raise SpecValidationError("t", "no value")
+        for _ in range(2):
+            with pytest.raises(SpecValidationError) as exc:
+                ctx.memo("t", build)
+            assert exc.value.__context__ is None
+        assert "t" not in ctx.cache
+
+
 class TestOrbits:
     def test_example_b_orbits(self, example_b):
         orbs = example_b.G.char_orbits()
