@@ -66,7 +66,6 @@ from .extengine import (
     ext_oracle,
     ext_shape_classify,
     rank1_rep,
-    simple_rep,
 )
 from .analysis import (
     CandidateSet,

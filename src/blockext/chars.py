@@ -19,6 +19,7 @@ with restricted Brauer characters, by Frobenius reciprocity.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -260,16 +261,16 @@ def irr_over_phi(F: FiniteGroup, z_local: int, zorder: int,
 # the ordinary and Brauer characters of B
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
 class BlockCharacter:
-    """(lambda, chi) with lambda an orbit representative, chi over phi."""
+    """(lambda, chi) with lambda an orbit representative, chi over phi.
+    Frozen, as Irr(B) is shared through the block's memo."""
 
-    def __init__(self, lam: LinearChar, chi: ClassFunction,
-                 stab: FiniteGroup, stab_embed, e_order: int):
-        self.lam = lam
-        self.chi = chi
-        self.stab = stab
-        self.stab_embed = tuple(stab_embed)
-        self.degree = chi.degree() * (e_order // stab.n)
+    lam: LinearChar
+    chi: ClassFunction
+    stab: FiniteGroup    # E_lambda
+    stab_embed: tuple    # its element indices inside E
+    degree: int          # chi(1) |E : E_lambda|
 
     def key(self):
         return (self.lam.vec, self.chi.sort_key())
@@ -316,7 +317,8 @@ def _irr_B(ctx: BlockContext) -> tuple[BlockCharacter, ...]:
         if len({chi.sort_key() for chi in chis}) != len(chis):
             raise BlockExtError("Clifford certificate: repeated chi over "
                                 f"the stabilizer of {orbit['rep'].vec}")
-        out.extend(BlockCharacter(orbit["rep"], chi, stab, embed, G.E.n)
+        out.extend(BlockCharacter(orbit["rep"], chi, stab, tuple(embed),
+                                  chi.degree() * (G.E.n // stab.n))
                    for chi in chis)
     if sum(c.degree ** 2 for c in out) != G.order // zorder:
         raise BlockExtError("degree sum check failed for Irr(B)")

@@ -147,21 +147,17 @@ class LinearChar:
 # ---------------------------------------------------------------------------
 
 class FiniteGroup:
-    """Explicit finite group: element list, Cayley table, classes."""
+    """Explicit finite group: element list, Cayley table, classes.  The
+    element data are tuples, as groups are shared through block memos."""
 
     def __init__(self, perms: list[tuple], table: list[list[int]],
                  generators: list[int]):
-        self.perms = perms
+        self.perms = tuple(perms)
         self.n = len(perms)
-        self.table = table
-        self.generators = generators
-        self.inverse = [0] * self.n
-        for i in range(self.n):
-            for j in range(self.n):
-                if table[i][j] == 0:
-                    self.inverse[i] = j
-                    break
-        self.order_of = [self._elt_order(i) for i in range(self.n)]
+        self.table = tuple(map(tuple, table))
+        self.generators = tuple(generators)
+        self.inverse = tuple(row.index(0) for row in self.table)
+        self.order_of = tuple(self._elt_order(i) for i in range(self.n))
         self.exponent = lcm(*self.order_of) if self.n > 1 else 1
 
     def _elt_order(self, i) -> int:
@@ -179,7 +175,7 @@ class FiniteGroup:
         return out
 
     @cached_property
-    def classes(self) -> list[list[int]]:
+    def classes(self) -> tuple[tuple[int, ...], ...]:
         seen = [False] * self.n
         classes = []
         for i in range(self.n):
@@ -194,20 +190,19 @@ class FiniteGroup:
                     if y not in orbit:
                         orbit.add(y)
                         queue.append(y)
-            cls = sorted(orbit)
+            cls = tuple(sorted(orbit))
             for x in cls:
                 seen[x] = True
             classes.append(cls)
-        classes.sort(key=lambda c: c[0])
-        return classes
+        return tuple(sorted(classes))
 
     @cached_property
-    def class_of(self) -> list[int]:
+    def class_of(self) -> tuple[int, ...]:
         co = [0] * self.n
         for k, cls in enumerate(self.classes):
             for x in cls:
                 co[x] = k
-        return co
+        return tuple(co)
 
     def subgroup(self, indices: list[int]) -> tuple["FiniteGroup", list[int]]:
         """Subgroup on the given closed element set; returns (group, embed)."""
@@ -458,11 +453,11 @@ class BlockContext:
     options are the user's settings, held read-only.  cache holds what is
     derived once per block, all of it immutable; memo is its one reader
     and writer.  Keys: "irr_B", "ibr" and "decomposition" for Irr(B),
-    IBr(B) and the decomposition matrix; tuples tagged "module" (induced),
-    "vchi" (the lines they are induced from) and "simple" (mod p) for
-    module representations; "ext" (block pairs) and "abelian" (the pure
-    contexts of ext_abelian_oracle) for Ext classes; "ext1" for dim_k
-    Ext^1 between simple modules.
+    IBr(B) and the decomposition matrix, and "ext1" for the table of dim_k
+    Ext^1 between simple modules; tuples tagged "module" (induced) and
+    "vchi" (the lines they are induced from) for module representations,
+    "ext" (block pairs) and "abelian" (the pure contexts of
+    ext_abelian_oracle) for Ext classes.
     """
 
     G: SemidirectGroup

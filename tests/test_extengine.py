@@ -8,7 +8,8 @@ import pytest
 from blockext import (BlockContext, LinearChar, OModuleClass, brauer_chars,
                       build_irr_B, chain_ring, cli, decomposition_matrix,
                       ext1_modp, ext_abelian_closed, ext_abelian_oracle,
-                      ext_block, ext_shape_classify, validate_block_spec)
+                      ext_block, ext_quiver, ext_shape_classify,
+                      validate_block_spec)
 from blockext.errors import (BlockExtError, PrecisionUnstable,
                              SizeGuardExceeded)
 from blockext import extengine
@@ -17,7 +18,7 @@ from blockext.extengine import (abelian_context, block_ring,
 from blockext.modrep import ModuleRep
 from blockext.omodule import val_one_minus_zeta
 from blockext.specfile import load_spec, to_context
-from modpref import ext1_of_reductions
+from modpref import ext1_of_reductions, ext1_of_simples
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -137,15 +138,22 @@ def test_abelian_memo_hit_still_trips_the_guard():
 
 
 def test_size_guard_zero_is_a_guard(example_a):
-    # both the Ext oracle and the mod-p dimensions read the guard
+    # the Ext oracle reads the guard; the mod-p dimensions build no
+    # complex, so they ignore it
     ctx = BlockContext(example_a.G, 1, {"size_guard": 0})
     irr = build_irr_B(ctx)
     with pytest.raises(SizeGuardExceeded, match="guard 0"):
         ext_block(ctx, irr[0], irr[1], 2)
-    with pytest.raises(SizeGuardExceeded, match="guard 0"):
-        ext1_modp(ctx, irr[0], irr[1])
-    with pytest.raises(SizeGuardExceeded, match="guard 0"):
-        ext1_modp_simples(ctx, 0, 1)
+    free = BlockContext(example_a.G, 1)
+    free_irr = build_irr_B(free)
+    for a in range(len(irr)):
+        for b in range(len(irr)):
+            assert ext1_modp(ctx, irr[a], irr[b]) == \
+                ext1_modp(free, free_irr[a], free_irr[b])
+    n = len(brauer_chars(ctx))
+    assert [[ext1_modp_simples(ctx, a, b) for b in range(n)]
+            for a in range(n)] == \
+        [[ext1_modp_simples(free, a, b) for b in range(n)] for a in range(n)]
 
 
 def test_abelian_precision_below_one_is_refused():
@@ -259,18 +267,33 @@ def test_simple_ext1_quiver_dims(example_a):
 @pytest.mark.parametrize("name", ["a4", "example-a", "example-b", "q8-c3xc3",
                                   "q8z-c3xc3", "c5-c4"])
 def test_ext1_modp_matches_the_reduced_lattices(name):
-    # the simple-module table weighted by decomposition numbers, against
-    # the bar complex of the two reductions mod pi
+    # the fixed-point table against the bar complex of the simple modules,
+    # and weighted by decomposition numbers against the bar complex of the
+    # two reductions mod pi
     if name == "c5-c4":  # C_4 acting on C_5 by a -> 2a: a one-way quiver
         G = validate_block_spec(5, [1], [((1, 2, 3, 0), [[2]])])
         ctx = BlockContext(G, 0)
         assert ext1_modp_simples(ctx, 0, 3) != ext1_modp_simples(ctx, 3, 0)
     else:
         ctx = to_context(load_spec(CORPUS / f"{name}.blockspec"))
+    n = len(brauer_chars(ctx))
+    assert [[ext1_modp_simples(ctx, a, b) for b in range(n)]
+            for a in range(n)] == ext1_of_simples(ctx)
     irr = build_irr_B(ctx)
     for c1 in irr:
         for c2 in irr:
             assert ext1_modp(ctx, c1, c2) == ext1_of_reductions(ctx, c1, c2)
+
+
+def test_quiver_past_the_bar_complex():
+    # C_4 acting on C_25 x C_25 by the scalar 7: the bar complex of D is
+    # refused even at the default guard, the fixed points are not
+    G = validate_block_spec(5, [2, 2], [((1, 2, 3, 0), [[7, 0], [0, 7]])])
+    ctx = BlockContext(G, 0, {"size_guard": 1})
+    q = ext_quiver(ctx)
+    assert q["dims"] == [[0, 0, 0, 2], [0, 0, 2, 0], [2, 0, 0, 0],
+                         [0, 2, 0, 0]]
+    assert q["connected"]
 
 
 # -- the block memo -------------------------------------------------------
@@ -284,7 +307,7 @@ def test_memoized_values_cannot_be_edited(name):
     assert all(c["status"] == "pass" for c in checks)
     # every kind of module the block memo holds is among those tried
     assert {k[0] for k in ctx.cache if isinstance(k, tuple)} >= \
-        {"vchi", "module", "simple"}
+        {"vchi", "module"}
     irr = build_irr_B(ctx)
     n = len(irr)
     with pytest.raises(AttributeError):
@@ -293,9 +316,15 @@ def test_memoized_values_cannot_be_edited(name):
         brauer_chars(ctx).append(brauer_chars(ctx)[0])
     with pytest.raises(TypeError):
         decomposition_matrix(ctx)[0][0] = 9
+    with pytest.raises(AttributeError):
+        irr[2].degree = 7
     for c in irr:
         with pytest.raises(TypeError):
             c.stab_embed[0] = 1
+        with pytest.raises(TypeError):
+            c.stab.table[0][0] = 1
+        with pytest.raises(TypeError):
+            c.stab.class_of[0] = 1
     reps = [v for v in ctx.cache.values() if isinstance(v, ModuleRep)]
     for rep in reps:
         with pytest.raises(TypeError):

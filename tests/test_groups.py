@@ -70,9 +70,9 @@ class TestBuildGroup:
     def test_cyclic_bfs_order(self):
         E = build_group([C4])
         assert E.n == 4
-        assert E.perms == [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)]
-        assert E.order_of == [1, 4, 2, 4]
-        assert E.inverse == [0, 3, 2, 1]
+        assert E.perms == ((0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2))
+        assert E.order_of == (1, 4, 2, 4)
+        assert E.inverse == (0, 3, 2, 1)
         assert E.exponent == 4
 
     def test_quaternion_group(self):
@@ -94,7 +94,7 @@ class TestBuildGroup:
         assert S3.n == 6
         sizes = sorted(len(c) for c in S3.classes)
         assert sizes == [1, 2, 3]
-        assert S3.classes[0] == [0]
+        assert S3.classes[0] == (0,)
 
     def test_order_bound(self):
         with pytest.raises(OrderBoundExceeded):
