@@ -65,7 +65,8 @@ into pieces of the same size (ChainRing.matmul).
 free_basis is the unit-pivot Gauss-Jordan behind fixed-point bases of
 the bar complex and the V_chi splitting in modrep.
 
-For the cohomology at position i, with d_in = d^{i-1} and d_out = d^i:
+homology_of_complex eliminates each d^i once, as d_out of position i and
+d_in of position i + 1.  For the cohomology at position i:
 
   torsion(H^i) = sum of O/pi^a over the positive finite Smith exponents a
   of d_in.  Justification: if d_in = diag(pi^{a_j}) on bases (v_j), (u_j),
@@ -76,8 +77,7 @@ For the cohomology at position i, with d_in = d^{i-1} and d_out = d^i:
   free(H^i) = dim ker(d_out) - rank(d_in) by rank-nullity.  Group
   cohomology complexes are acyclic over the fraction field in positive
   degrees (cor o res = |G|), so callers computing them pass acyclic=True
-  and the outgoing differential is never eliminated; otherwise its rank is
-  computed the same way.
+  and the free rank is 0 there; only H^0 reads it, from d^0.
 """
 
 from __future__ import annotations
@@ -223,39 +223,29 @@ class ChainComplex:
         return True
 
 
-def homology_of_complex(cx: ChainComplex, i: int, *, bound: int,
-                        acyclic: bool = False) -> tuple[int, list[int]]:
-    """(free rank, torsion pi-exponents desc) of H^i(cx).
+def homology_of_complex(cx: ChainComplex, *, bound: int,
+                        acyclic: bool = False) -> list[tuple[int, list[int]]]:
+    """[(free rank, torsion pi-exponents desc) of H^i(cx)] for every
+    position i, each differential eliminated once.
 
     ``bound`` caps every finite Smith exponent of the differentials (see
     _smith_exponents).  With acyclic=True the caller asserts the complex
     is exact over the fraction field in degrees >= 1 (true for group
-    cohomology, by cor o res = |G|); the outgoing differential is then
-    not needed and the top position i = len(diffs) becomes available.
+    cohomology, by cor o res = |G|), so the free rank is 0 there,
+    including at the top position, where the truncation cuts d^top off.
     """
     ring = cx.ring
-    top = len(cx.ranks) - 1
-    if not 0 <= i <= top:
-        raise ValueError(f"position {i} outside complex")
-    if i == 0:
-        rank_in, torsion = 0, []
-    else:
-        in_exps = _smith_exponents(ring, cx.matrix(i - 1).astype(ring.dtype),
-                                   bound)
-        rank_in = len(in_exps)
-        torsion = sorted((a for a in in_exps if a > 0), reverse=True)
-    if acyclic and i >= 1:
-        free = 0
-    else:
-        if i == top:
-            rank_out = 0
-        else:
-            rank_out = len(_smith_exponents(
-                ring, cx.matrix(i).astype(ring.dtype), bound))
-        free = cx.ranks[i] - rank_out - rank_in
+    # exps[-1] stands for the zero maps into position 0 and out of the top
+    exps = [_smith_exponents(ring, cx.matrix(i).astype(ring.dtype), bound)
+            for i in range(len(cx.ranks) - 1)] + [[]]
+    out = []
+    for i, rank in enumerate(cx.ranks):
+        d_in, d_out = exps[i - 1], exps[i]
+        free = 0 if acyclic and i else rank - len(d_out) - len(d_in)
         if free < 0:
             raise PrecisionUnstable(
                 f"negative free rank at position {i} over ring "
-                f"{ring.key()}: rank {cx.ranks[i]}, {rank_in} pivots into "
-                f"it, {rank_out} out of it (ranks {cx.ranks})")
-    return free, torsion
+                f"{ring.key()}: rank {rank}, {len(d_in)} pivots into "
+                f"it, {len(d_out)} out of it (ranks {cx.ranks})")
+        out.append((free, sorted((a for a in d_in if a > 0), reverse=True)))
+    return out

@@ -7,8 +7,9 @@ degrees come out of the orthogonality sum, and the actual cyclotomic values
 are recovered by discrete-log lifting of root-of-unity multiplicities.  The
 lift reads zeta_m as g^((ell-1)/m) for the smallest primitive root g mod
 ell; another root would Galois-conjugate the values and reorder the table.
-All returned values are exact CycloNumbers and every table is verified
-against both orthogonality relations before use.
+All returned values are exact CycloNumbers and every table is certified
+before use: the first orthogonality relation on a square table, which
+implies the second.
 
 Irr(B) is parametrized by pairs (lambda, chi) with lambda an orbit
 representative on Irr(D) and chi in Irr(E_lambda | phi), certified
@@ -169,24 +170,19 @@ def _split_eigenspaces(spaces, A, ell):
 
 
 def _verify_orthogonality(E: FiniteGroup, chars: list[ClassFunction]):
-    k = len(E.classes)
+    """The first orthogonality relation on a square table.  With X the
+    table, W = diag(|C|/|E|) and X~ its values at inverse classes, that
+    says X W X~^T = I, so a square X is invertible and X~^T X = W^-1: the
+    second relation (Isaacs, Character Theory, proof of 2.18)."""
+    if len(chars) != len(E.classes):
+        raise OrthogonalityFailure(
+            f"{len(chars)} characters for {len(E.classes)} classes")
     for i, a in enumerate(chars):
         for j in range(i, len(chars)):
             ip = a.inner_product(chars[j])
             if ip != (1 if i == j else 0):
                 raise OrthogonalityFailure(
                     f"first orthogonality fails at ({i},{j}): {ip}")
-    conj = [ch.values_at_inverses() for ch in chars]
-    for kk in range(k):
-        for ll in range(k):
-            acc = _ZERO
-            for ch, bar in zip(chars, conj):
-                acc = acc + ch.values[kk] * bar[ll]
-            want = (CycloNumber.from_rational(
-                Fraction(E.n, len(E.classes[kk]))) if kk == ll else _ZERO)
-            if acc != want:
-                raise OrthogonalityFailure(
-                    f"second orthogonality fails at column pair ({kk},{ll})")
 
 
 def char_table(E: FiniteGroup) -> tuple[ClassFunction, ...]:
@@ -297,6 +293,7 @@ def _irr_B(ctx: BlockContext) -> tuple[BlockCharacter, ...]:
     certificate checks that the orbits partition Irr(D), that
     |orbit| |E_lam| = |E| (E_lam is the whole stabilizer), and that the chi
     have distinct sort keys; sum deg^2 = |G|/|Z| then says none is missing.
+    One table is built per distinct stabilizer, and E_lam = E is E itself.
     """
     G = ctx.G
     zorder = len(G.Z)
@@ -305,19 +302,25 @@ def _irr_B(ctx: BlockContext) -> tuple[BlockCharacter, ...]:
     if not sum(len(o["orbit"]) for o in orbits) == len(covered) == G.D.order:
         raise BlockExtError("Clifford certificate: orbits do not partition "
                             "Irr(D)")
+    fibers = {}  # stabilizer -> (E_lam, its embedding, Irr(E_lam | phi))
     out = []
     for orbit in orbits:
         size, order = len(orbit["orbit"]), len(orbit["stabilizer"])
         if size * order != G.E.n:
             raise BlockExtError(f"Clifford certificate: an orbit of {size} "
                                 f"with a stabilizer of order {order}")
-        stab, embed = G.E.subgroup(orbit["stabilizer"])
-        chis = irr_over_phi(stab, embed.index(G.z_gen), zorder,
-                            ctx.phi_exponent)
-        if len({chi.sort_key() for chi in chis}) != len(chis):
-            raise BlockExtError("Clifford certificate: repeated chi over "
-                                f"the stabilizer of {orbit['rep'].vec}")
-        out.extend(BlockCharacter(orbit["rep"], chi, stab, tuple(embed),
+        key = tuple(orbit["stabilizer"])
+        if key not in fibers:
+            stab, embed = (G.E, range(G.E.n)) if order == G.E.n else \
+                G.E.subgroup(key)
+            chis = irr_over_phi(stab, embed.index(G.z_gen), zorder,
+                                ctx.phi_exponent)
+            if len({chi.sort_key() for chi in chis}) != len(chis):
+                raise BlockExtError("Clifford certificate: repeated chi over "
+                                    f"the stabilizer of {orbit['rep'].vec}")
+            fibers[key] = stab, tuple(embed), chis
+        stab, embed, chis = fibers[key]
+        out.extend(BlockCharacter(orbit["rep"], chi, stab, embed,
                                   chi.degree() * (G.E.n // stab.n))
                    for chi in chis)
     if sum(c.degree ** 2 for c in out) != G.order // zorder:
@@ -326,10 +329,10 @@ def _irr_B(ctx: BlockContext) -> tuple[BlockCharacter, ...]:
 
 
 def brauer_chars(ctx: BlockContext) -> tuple[ClassFunction, ...]:
-    """IBr(B) identified with Irr(E | phi), built once per block."""
-    G = ctx.G
-    return ctx.memo("ibr", irr_over_phi, G.E, G.z_gen, len(G.Z),
-                    ctx.phi_exponent)
+    """IBr(B) identified with Irr(E | phi), built once per block and read
+    off the fiber of the trivial lambda, which E fixes."""
+    return ctx.memo("ibr", lambda: tuple(
+        c.chi for c in build_irr_B(ctx) if c.lam.is_trivial()))
 
 
 def decomposition_matrix(ctx: BlockContext) -> tuple[tuple[int, ...], ...]:

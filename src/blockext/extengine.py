@@ -15,6 +15,9 @@ tuples and mixes coefficient indices; a fixed-space basis is extracted
 orbitwise from the stabilizer averaging idempotent, with an explicit left
 inverse for coordinate readback.
 
+ext_oracle returns the whole profile (Ext^0, ..., Ext^top) of one complex;
+ext_block and ext_abelian_oracle memoize it under top = max(i, 1).
+
 Closed mode for block pairs uses that D = D1 x D2 with E acting trivially
 on D2, so the group factors as (D1 x| E) x D2 and Ext assembles by the
 Kunneth formula.  The D2 factor comes from the shape lemma alone; the
@@ -109,7 +112,7 @@ def _fixed_bar_complex(ring, G, elems, M1: ModuleRep, M2: ModuleRep,
                       for f in range(F.n)], dtype=np.intp).reshape(F.n, nd)
     # elems[s] + elems[t] as an index, -1 where the sum is the identity
     X, qs = np.array(elems, dtype=np.intp).reshape(nd, D.t), np.array(D.qs)
-    radix = np.cumprod([1] + D.qs[:0:-1])[::-1]  # mixed-radix element codes
+    radix = np.cumprod((1,) + D.qs[:0:-1])[::-1]  # mixed-radix element codes
     lookup = np.full(D.order, -1)
     lookup[X @ radix] = np.arange(nd)
     merge = lookup[(X[:, None] + X) % qs @ radix]
@@ -196,27 +199,21 @@ def _fixed_bar_complex(ring, G, elems, M1: ModuleRep, M2: ModuleRep,
     return cx
 
 
-def ext_oracle(G, M1: ModuleRep, M2: ModuleRep, degrees, R: ChainRing, *,
-               elems=None, size_guard: int | None = None) -> dict:
-    """{i: Ext^i over O(D x| F)} for i in ``degrees``, by bar resolution
-    from one shared complex, F = the modules' group.
+def ext_oracle(G, M1: ModuleRep, M2: ModuleRep, top: int, R: ChainRing, *,
+               elems=None, size_guard: int | None = None) -> tuple:
+    """(Ext^0, ..., Ext^top) over O(D x| F), F = the modules' group, by bar
+    resolution from one complex through max(top, 1), as Ext^0 reads d^0.
 
     ``elems`` restricts the bar complex to a subgroup of D given by its
     nontrivial elements (used for the D1 side of the Kunneth assembly).
     """
-    if min(degrees) < 0:
-        raise BlockExtError("negative cohomological degree")
     bound = smith_bound(G.D, R)
     if elems is None:
         elems = G.D.elements()[1:]
-    cx = _fixed_bar_complex(R, G, elems, M1, M2, max(max(degrees), 1),
-                            size_guard)
-    out = {}
-    for i in degrees:
-        free, tors = homology_of_complex(cx, i, bound=bound, acyclic=True)
-        out[i] = OModuleClass(R.p, free,
-                              tuple(Fraction(t, R.e) for t in tors))
-    return out
+    cx = _fixed_bar_complex(R, G, elems, M1, M2, max(top, 1), size_guard)
+    return tuple(OModuleClass(R.p, free, tuple(Fraction(t, R.e) for t in tors))
+                 for free, tors in homology_of_complex(
+                     cx, bound=bound, acyclic=True)[:top + 1])
 
 
 # -- closed forms ---------------------------------------------------------
@@ -270,35 +267,39 @@ def rank1_rep(ctx: BlockContext, lam: LinearChar, ring: ChainRing) -> ModuleRep:
 def ext_abelian_oracle(D: AbelianPGroup, lam1: LinearChar, lam2: LinearChar,
                        i: int, *, precision: int | None = None,
                        size_guard: int | None = None) -> OModuleClass:
-    """Oracle Ext over D alone; memoized on the character quotient and
-    the precision.  A precision below 1 is refused, and the size guard is
+    """Oracle Ext over D alone; the profile through max(i, 1) is memoized
+    on the character quotient, that top and the precision.  A negative
+    degree and a precision below 1 are refused, and the size guard is
     checked on every call, so a memo hit trips it as a miss would."""
-    ctx = abelian_context(D.p, tuple(D.orders))
+    ctx = abelian_context(D.p, D.orders)
     mu = lam1.inverse().mul(lam2).vec
     N = default_precision(max(D.orders, default=0)) if precision is None \
         else precision
-    out = ctx.memo(("abelian", mu, i, N), _abelian_class, ctx, mu, i, N,
+    if i < 0:
+        raise BlockExtError("negative cohomological degree")
+    top = max(i, 1)
+    out = ctx.memo(("abelian", mu, top, N), _abelian_class, ctx, mu, top, N,
                    size_guard)
-    _check_size(ctx.G.D.order - 1, max(i, 1), 1, size_guard)
-    return out
+    _check_size(ctx.G.D.order - 1, top, 1, size_guard)
+    return out[i]
 
 
-def _abelian_class(ctx: BlockContext, mu: tuple, i: int, N: int,
-                   size_guard: int | None) -> OModuleClass:
+def _abelian_class(ctx: BlockContext, mu: tuple, top: int, N: int,
+                   size_guard: int | None) -> tuple:
     if N < 1:
         raise BlockExtError(f"precision {N} is below 1")
     D = ctx.G.D
     R = chain_ring(D.p, N, max(D.orders, default=0), 1)
     return ext_oracle(ctx.G, rank1_rep(ctx, LinearChar(D, (0,) * D.t), R),
-                      rank1_rep(ctx, LinearChar(D, mu), R), (i,), R,
-                      size_guard=size_guard)[i]
+                      rank1_rep(ctx, LinearChar(D, mu), R), top, R,
+                      size_guard=size_guard)
 
 
 # -- block-level dispatch -------------------------------------------------
 
 def _shapiro_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
-                   i: int, R: ChainRing, via: int = 1) -> OModuleClass:
-    """Ext^i_OG(M_c1, M_c2) over the stabilizer of one of the two.
+                   top: int, R: ChainRing, via: int = 1) -> tuple:
+    """Ext^0..top_OG(M_c1, M_c2) over the stabilizer of one of the two.
 
     via=1 reduces the induced first argument: Ext over D x| E_lam1 of
     (V_chi1, M_c2 res).  via=2 reverses the roles through the coinduction
@@ -311,41 +312,42 @@ def _shapiro_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
     res = build_module_rep(ctx, other, R).restrict_to(
         line.F, line.embed, line.embed)
     M1, M2 = (line, res) if via == 1 else (res, line)
-    return ext_oracle(G, M1, M2, (i,), R,
-                      size_guard=ctx.options.get("size_guard"))[i]
+    return ext_oracle(G, M1, M2, top, R,
+                      size_guard=ctx.options.get("size_guard"))
 
 
 def _closed_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
-                  i: int, R: ChainRing) -> OModuleClass:
-    """Kunneth assembly over G = (D1 x| E) x D2.  E fixes D2, so the D2
-    factor is H^*(D2, O_mu), mu = lam1^-1 lam2 on D2, from the shape lemma
-    (Brown, Cohomology of Groups, III.10); the D1 x| E factor is the
-    oracle's on D1."""
+                  top: int, R: ChainRing) -> tuple:
+    """Ext^0..top by Kunneth assembly over G = (D1 x| E) x D2.  E fixes
+    D2, so the D2 factor is H^*(D2, O_mu), mu = lam1^-1 lam2 on D2, from
+    the shape lemma (Brown, Cohomology of Groups, III.10); the D1 x| E
+    factor is the oracle's on D1, through top."""
     G = ctx.G
     d1 = [e for e in G.d1_elements if e != G.D.identity]
     M1, M2 = build_module_rep(ctx, c1, R), build_module_rep(ctx, c2, R)
-    left = ext_oracle(G, M1, M2, (0, 1, 2), R, elems=d1,
+    left = ext_oracle(G, M1, M2, top, R, elems=d1,
                       size_guard=ctx.options.get("size_guard"))
     mu = c1.lam.inverse().mul(c2.lam)
     qm = G.D.exponent
     d = max(qm // gcd(mu.value_exponent(x), qm) for x in G.d2_elements)
-    right = [shape_lemma(G.D.p, G.d2_invariants, d, k) for k in (0, 1, 2)]
-    # degree 3 enters only as Tor_1(left[3], right[0]) and
-    # Tor_1(left[0], right[3]), which vanish when both H^0 are
-    # torsion-free (the shape lemma's always is), so zero placeholders
-    # at degree 3 are exact
+    right = [shape_lemma(G.D.p, G.d2_invariants, d, k)
+             for k in range(top + 1)]
+    # degree n needs the factors through n + 1, and top + 1 enters only as
+    # Tor_1(left[top + 1], right[0]) and Tor_1(left[0], right[top + 1]).
+    # Both H^0 are torsion-free (the shape lemma's always is, the D1 x| E
+    # one is checked here), so these vanish and zero placeholders are exact
     if left[0].torsion:
         raise BlockExtError("H^0 of a Kunneth factor is not torsion-free")
     zero = OModuleClass(G.D.p, 0, ())
-    return kunneth_assemble([left[0], left[1], left[2], zero],
-                            [*right, zero], i)
+    return tuple(kunneth_assemble([*left, zero], [*right, zero], n)
+                 for n in range(top + 1))
 
 
 def ext_block(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
               i: int, mode: str = "crosscheck", *,
               via: int = 1) -> OModuleClass:
     """Ext^i_B between the O-forms of two block characters, at the block's
-    precision; computed once per pair, degree, mode and via."""
+    precision; one profile through max(i, 1) per pair, mode and via."""
     if mode not in ("closed", "oracle", "crosscheck"):
         raise BlockExtError(f"unknown ext mode {mode!r}")
     if i not in (0, 1, 2):
@@ -354,24 +356,25 @@ def ext_block(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
         raise BlockExtError("via selects which character to reduce: 1 or 2")
     R = block_ring(ctx)
     smith_bound(ctx.G.D, R)  # a too-low precision fails before any build
-    return ctx.memo(("ext", c1.key(), c2.key(), i, mode, via, R.key()),
-                    _ext_class, ctx, c1, c2, i, mode, via, R)
+    top = max(i, 1)
+    return ctx.memo(("ext", c1.key(), c2.key(), top, mode, via, R.key()),
+                    _ext_class, ctx, c1, c2, top, mode, via, R)[i]
 
 
 def _ext_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
-               i: int, mode: str, via: int, R: ChainRing) -> OModuleClass:
+               top: int, mode: str, via: int, R: ChainRing) -> tuple:
     if mode == "closed":
-        return _closed_class(ctx, c1, c2, i, R)
+        return _closed_class(ctx, c1, c2, top, R)
     if mode == "oracle":
-        return _shapiro_class(ctx, c1, c2, i, R, via)
-    a = _closed_class(ctx, c1, c2, i, R)
-    b = _shapiro_class(ctx, c1, c2, i, R, via)
-    if a != b:
-        err = CrossCheckMismatch(
-            f"closed {a.pretty()} != oracle {b.pretty()} at degree {i}")
-        err.closed = a
-        err.oracle = b
-        raise err
+        return _shapiro_class(ctx, c1, c2, top, R, via)
+    a = _closed_class(ctx, c1, c2, top, R)
+    b = _shapiro_class(ctx, c1, c2, top, R, via)
+    for n, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            err = CrossCheckMismatch(
+                f"closed {x.pretty()} != oracle {y.pretty()} at degree {n}")
+            err.closed, err.oracle = x, y
+            raise err
     return a
 
 

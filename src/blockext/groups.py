@@ -36,9 +36,9 @@ class AbelianPGroup:
             raise SpecValidationError(
                 "d-not-p-power", "D needs positive invariant exponents")
         self.p = p
-        self.orders = list(orders)
+        self.orders = tuple(orders)
         self.t = len(orders)
-        self.qs = [p**n for n in orders]
+        self.qs = tuple(p**n for n in orders)
         self.exponent = p ** max(orders)
         self.order = 1
         for q in self.qs:
@@ -285,7 +285,7 @@ class ActionMap:
                     mats[j] = self._mat_mul(mats[i], Mg)
                     queue.append(j)
         assert all(M is not None for M in mats)
-        self.mats = mats
+        self.mats = tuple(mats)
         for i in range(E.n):
             for j in range(E.n):
                 if self._mat_mul(mats[i], mats[j]) != mats[E.table[i][j]]:
@@ -337,19 +337,20 @@ class ActionMap:
         return LinearChar(D, tuple(cs))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SemidirectGroup:
-    """G = D x| E with the derived block-theoretic subgroup data."""
+    """G = D x| E with the derived block-theoretic subgroup data.  Frozen,
+    with tuples for the data, as every BlockContext and its memo share it."""
 
     D: AbelianPGroup
     E: FiniteGroup
     action: ActionMap
-    Z: list[int]                    # element indices of C_E(D)
+    Z: tuple[int, ...]              # element indices of C_E(D)
     z_gen: int                      # designated generator of Z
-    d1_elements: list[tuple]        # [D, E]
-    d2_elements: list[tuple]        # C_D(E)
-    d1_invariants: list[int]
-    d2_invariants: list[int]
+    d1_elements: tuple[tuple, ...]  # [D, E]
+    d2_elements: tuple[tuple, ...]  # C_D(E)
+    d1_invariants: tuple[int, ...]
+    d2_invariants: tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -440,10 +441,10 @@ def validate_block_spec(p: int, orders: list[int],
             "action-not-homomorphism",
             "D does not split as [D,E] x C_D(E); invalid action data")
     return SemidirectGroup(
-        D=D, E=E, action=action, Z=Z, z_gen=z_gen,
-        d1_elements=d1, d2_elements=d2,
-        d1_invariants=abelian_invariants(p, d1, D),
-        d2_invariants=abelian_invariants(p, d2, D))
+        D=D, E=E, action=action, Z=tuple(Z), z_gen=z_gen,
+        d1_elements=tuple(d1), d2_elements=tuple(d2),
+        d1_invariants=tuple(abelian_invariants(p, d1, D)),
+        d2_invariants=tuple(abelian_invariants(p, d2, D)))
 
 
 @dataclass
@@ -457,7 +458,7 @@ class BlockContext:
     Ext^1 between simple modules; tuples tagged "module" (induced) and
     "vchi" (the lines they are induced from) for module representations,
     "ext" (block pairs) and "abelian" (the pure contexts of
-    ext_abelian_oracle) for Ext classes.
+    ext_abelian_oracle) for Ext profiles (Ext^0, ..., Ext^max(i, 1)).
     """
 
     G: SemidirectGroup

@@ -20,7 +20,7 @@ def _bar_ext1(ctx, ring0, M1, M2):
     higher E-cohomology vanishes, as |E| is prime to p."""
     cx = _fixed_bar_complex(ring0, ctx.G, ctx.G.D.elements()[1:], M1, M2, 2,
                             ctx.options.get("size_guard"))
-    free, tors = homology_of_complex(cx, 1, bound=0, acyclic=False)
+    free, tors = homology_of_complex(cx, bound=0, acyclic=False)[1]
     assert not tors, "residue field homology cannot carry torsion"
     return free
 

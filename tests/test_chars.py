@@ -16,7 +16,7 @@ from blockext.chars import (
     lifts_of,
 )
 from blockext.cyclotomic import zeta
-from blockext.errors import BlockExtError
+from blockext.errors import BlockExtError, OrthogonalityFailure
 from blockext.groups import (BlockContext, FiniteGroup, build_group,
                              validate_block_spec)
 from blockext.specfile import load_spec, to_context
@@ -92,6 +92,29 @@ class TestCharTable:
         E2 = build_group([(1, 0, 2), (2, 1, 0)])
         t2 = char_table(E2)
         assert [c.values for c in t1] == [c.values for c in t2]
+
+
+class TestOrthogonalityCertificate:
+    S3 = [(1, 0, 2), (2, 1, 0)]
+
+    def test_changed_value_is_refused(self):
+        E = build_group(self.S3)
+        table = list(char_table(E))
+        values = list(table[2].values)
+        values[1] = values[1] + zeta(1)
+        table[2] = ClassFunction(E, values)
+        with pytest.raises(OrthogonalityFailure, match="first orthogonality"):
+            chars._verify_orthogonality(E, table)
+
+    def test_missing_character_is_refused(self):
+        # the rest still satisfies the first relation; the square check,
+        # which implies the second, catches the gap
+        E = build_group(self.S3)
+        table = char_table(E)
+        chars._verify_orthogonality(E, table)
+        with pytest.raises(OrthogonalityFailure,
+                           match="2 characters for 3 classes"):
+            chars._verify_orthogonality(E, table[:1] + table[2:])
 
 
 class TestIrrOverPhi:
@@ -216,7 +239,7 @@ class TestCliffordCertificate:
     def corrupted(edit):
         G = validate_block_spec(3, [1, 1], [((1, 2, 3, 0), [[-1, 0], [0, 1]])])
         orbits = G.char_orbits()
-        G.char_orbits = lambda: edit(orbits)
+        object.__setattr__(G, "char_orbits", lambda: edit(orbits))  # frozen
         return BlockContext(G, phi_exponent=1)
 
     def test_repeated_orbit(self):

@@ -12,7 +12,7 @@ from blockext import (BlockContext, LinearChar, OModuleClass, brauer_chars,
                       validate_block_spec)
 from blockext.errors import (BlockExtError, PrecisionUnstable,
                              SizeGuardExceeded)
-from blockext import extengine
+from blockext import chainlinalg, extengine
 from blockext.extengine import (abelian_context, block_ring,
                                 ext1_modp_simples, ext_oracle, rank1_rep)
 from blockext.modrep import ModuleRep
@@ -21,6 +21,7 @@ from blockext.specfile import load_spec, to_context
 from modpref import ext1_of_reductions, ext1_of_simples
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+SPECS = Path(__file__).resolve().parent / "specs"
 
 
 def all_chars(D):
@@ -126,7 +127,7 @@ def test_size_guard_trips():
     triv = LinearChar(D, (0,))
     M = rank1_rep(ctx, triv, R)
     with pytest.raises(SizeGuardExceeded):
-        ext_oracle(ctx.G, M, M, (2,), R, size_guard=10)
+        ext_oracle(ctx.G, M, M, 2, R, size_guard=10)
 
 
 def test_abelian_memo_hit_still_trips_the_guard():
@@ -154,6 +155,15 @@ def test_size_guard_zero_is_a_guard(example_a):
     assert [[ext1_modp_simples(ctx, a, b) for b in range(n)]
             for a in range(n)] == \
         [[ext1_modp_simples(free, a, b) for b in range(n)] for a in range(n)]
+
+
+def test_abelian_negative_degree_is_refused():
+    # degrees 0 and 1 share one memoized profile; -1 must not index it
+    D = abelian_context(3, (2,)).G.D
+    triv = LinearChar(D, (0,))
+    ext_abelian_oracle(D, triv, triv, 1)
+    with pytest.raises(BlockExtError, match="negative"):
+        ext_abelian_oracle(D, triv, triv, -1)
 
 
 def test_abelian_precision_below_one_is_refused():
@@ -201,11 +211,63 @@ def test_example_b_closed_equals_oracle(monkeypatch):
             for i in (0, 1, 2):
                 before = len(calls)
                 closed = ext_block(ctx, c1, c2, i, "closed")
-                # one oracle call per class, on the D1 x| E factor
-                assert len(calls) == before + 1
-                assert len(calls[-1]) == len(G.d1_elements) - 1
+                # one oracle call per pair and top = max(i, 1), on the
+                # D1 x| E factor; degree 1 reads degree 0's profile
+                assert [len(e) for e in calls[before:]] == \
+                    [len(G.d1_elements) - 1] * (i != 1)
                 oracle = ext_block(ctx, c1, c2, i, "oracle")
                 assert closed == oracle, (c1, c2, i)
+
+
+def count_work(monkeypatch):
+    """Count Smith eliminations and bar complexes built from here on."""
+    counts = {"smith": 0, "complexes": 0}
+    smith, build = chainlinalg._smith_exponents, extengine._fixed_bar_complex
+
+    def counted_smith(*args):
+        counts["smith"] += 1
+        return smith(*args)
+
+    def counted_build(*args):
+        counts["complexes"] += 1
+        return build(*args)
+    monkeypatch.setattr(chainlinalg, "_smith_exponents", counted_smith)
+    monkeypatch.setattr(extengine, "_fixed_bar_complex", counted_build)
+    return counts
+
+
+def test_each_complex_is_eliminated_once(monkeypatch):
+    ctx = to_context(load_spec(CORPUS / "example-c.blockspec"))
+    irr = build_irr_B(ctx)
+    counts = count_work(monkeypatch)
+    # crosscheck at degree 2: both engines build through 2, and each
+    # eliminates its d^0 and d^1
+    ext_block(ctx, irr[3], irr[5], 2)
+    assert counts == {"smith": 4, "complexes": 2}
+    counts.update(smith=0, complexes=0)
+    # closed degrees 0 to 2: the complex through 1 serves degrees 0 and 1
+    for i in (0, 1, 2):
+        ext_block(ctx, irr[2], irr[6], i, "closed")
+    assert counts == {"smith": 3, "complexes": 2}
+
+
+def test_closed_low_degrees_past_the_degree_two_guard():
+    # C_4 acting on C_25 x C_25 by the scalar 7: D1 = D, and the default
+    # guard admits 624^1 cells but not 624^2, so closed mode reaches
+    # Ext^0 and Ext^1 by building the D1 complex only through degree 1
+    ctx = to_context(load_spec(SPECS / "c25x25-c4.blockspec"))
+    irr = build_irr_B(ctx)
+    w1, w2 = val_one_minus_zeta(5, 1), val_one_minus_zeta(5, 2)
+    want = {(0, 0): [OModuleClass(5, 1), OModuleClass(5, 0)],
+            (0, 4): [OModuleClass(5, 0), OModuleClass(5, 0, (w2,))],
+            (7, 0): [OModuleClass(5, 0), OModuleClass(5, 0, (w1,))]}
+    for (a, b), classes in want.items():
+        for i in (0, 1):
+            closed = ext_block(ctx, irr[a], irr[b], i, "closed")
+            assert closed == ext_block(ctx, irr[a], irr[b], i, "oracle") \
+                == classes[i], (a, b, i)
+    with pytest.raises(SizeGuardExceeded, match=r"624\^2"):
+        ext_block(ctx, irr[0], irr[4], 2, "closed")
 
 
 def test_shapiro_order_independence(example_a):
@@ -331,6 +393,16 @@ def test_memoized_values_cannot_be_edited(name):
             rep.embed[0] = 1
         with pytest.raises(ValueError):
             rep.mats[0] = 0
+    # the group every context and memo entry shares
+    G = ctx.G
+    with pytest.raises(TypeError):
+        G.d2_elements[:] = [G.D.identity]
+    with pytest.raises(TypeError):
+        G.action.mats[1] = G.action.mats[0]
+    with pytest.raises(TypeError):
+        G.D.qs[0] = 1
+    with pytest.raises(AttributeError):
+        G.d1_elements = (G.D.identity,)
     assert len(build_irr_B(ctx)) == n
     if name == "example-a":
         assert n == 3

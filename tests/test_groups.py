@@ -19,7 +19,7 @@ C3 = (1, 2, 0)
 class TestAbelianPGroup:
     def test_basic(self):
         D = AbelianPGroup(3, [1, 2])
-        assert D.order == 27 and D.exponent == 9 and D.qs == [3, 9]
+        assert D.order == 27 and D.exponent == 9 and D.qs == (3, 9)
         assert len(D.elements()) == 27
         assert D.order_of((0, 0)) == 1
         assert D.order_of((1, 0)) == 3
@@ -113,7 +113,7 @@ class TestValidation:
         assert G.D.order == 3 and G.E.n == 4
         assert len(G.Z) == 2 and G.E.order_of[G.z_gen] == 2
         assert sorted(map(len, (G.d1_elements, G.d2_elements))) == [1, 3]
-        assert G.d1_invariants == [1] and G.d2_invariants == []
+        assert G.d1_invariants == (1,) and G.d2_invariants == ()
         assert example_a.phi_value_exponent(G.z_gen) == 1
 
     def test_example_b_structure(self, example_b):
@@ -121,13 +121,13 @@ class TestValidation:
         assert G.D.order == 9 and len(G.Z) == 2
         assert set(G.d1_elements) == {(0, 0), (1, 0), (2, 0)}
         assert set(G.d2_elements) == {(0, 0), (0, 1), (0, 2)}
-        assert G.d1_invariants == [1] and G.d2_invariants == [1]
+        assert G.d1_invariants == (1,) and G.d2_invariants == (1,)
 
     def test_example_c_structure(self, example_c):
         G = example_c.G
         assert G.D.order == 16 and G.E.n == 3
-        assert G.Z == [0] and len(G.d2_elements) == 1
-        assert G.d1_invariants == [2, 2]
+        assert G.Z == (0,) and len(G.d2_elements) == 1
+        assert G.d1_invariants == (2, 2)
         assert example_c.z_order == 1
         assert example_c.phi_value_exponent(0) == 0
 
