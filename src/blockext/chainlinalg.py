@@ -32,7 +32,9 @@ cap = N e, so O/p^N = O/pi^cap.
      reduction, and every choice they make reads residues mod pi only:
      unit pivots and valuations == 0 tests (free_basis, the V_chi split).
      The same formulas over O make the same choices and build an
-     O-complex whose reduction is the one at hand.
+     O-complex whose reduction is the one at hand.  The Koszul complexes
+     Hom_D(K, O_nu) (extengine docstring) have entries s - 1 and
+     sum_a s^a for roots of unity s, ring operations that choose nothing.
   3. Over O the exponents are bounded.  For i >= 1, H^i(D, O_nu) is
      killed by exp(D) = p^max(n_i): Kunneth over the cyclic factors of D
      (Brown, Cohomology of Groups, III.10).  The oracle's coefficients

@@ -15,21 +15,52 @@ tuples and mixes coefficient indices; a fixed-space basis is extracted
 orbitwise from the stabilizer averaging idempotent, with an explicit left
 inverse for coordinate readback.
 
-ext_oracle returns the whole profile (Ext^0, ..., Ext^top) of one complex;
-ext_block and ext_abelian_oracle memoize it under top = max(i, 1).
+When F acts trivially, a small resolution replaces the bar complex.
+Say every f in F fixes D (F lies in Z = C_E(D)) and acts as the identity
+on M = M1* (x) M2, and the oracle runs over all of D.  Then D x| F is
+D x F, and in the Lyndon-Hochschild-Serre spectral sequence
+H^a(F, H^b(D, M)) vanishes for a > 0 (|F| is invertible), so
+H^n(D x F, M) = H^n(D, M)^F = H^n(D, M): F acts on H^n(D, M) through its
+actions on D and on M, and both are trivial.  M restricts to D as the sum
+of the lines O_nu_c, one per basis vector, and cohomology is additive, so
+Ext^n = sum_c H^n(D, O_nu_c); each distinct nu is computed once.
+
+For D = C_q1 x ... x C_qt with generators x_j, the periodic resolution of
+C_qj has O C_qj in every degree, with boundary x_j - 1 out of odd degrees
+and N_j = sum_{a<qj} x_j^a out of positive even ones (Brown, Cohomology of
+Groups, I.6).  Their tensor product K is a free resolution of O over O D
+(Brown V.1) with one generator per exponent vector (k_1, ..., k_t) in
+degree k_1 + ... + k_t, C(m + t - 1, t - 1) in degree m against the bar
+complex's (|D| - 1)^m.  Hom_D(K, O_nu) has O at each generator, and with
+s_j = nu(x_j) its j-th face sends (k) to (k + e_j), multiplying by
+s_j - 1 out of an even k_j and by N_j(s_j) out of an odd one, with the
+Koszul sign (-1)^(k_1 + ... + k_{j-1}).  (s - 1) N(s) = s^q - 1 = 0 and
+the signs make distinct faces anticommute, so d o d = 0, which verify()
+checks on every complex built.  The chainlinalg certificate holds as
+before: the entries are ring operations on roots of unity, so the
+complex is the reduction of Hom_D(K, O_nu) over O, whose cohomology is
+H^n(D, O_nu), killed by exp(D) in degrees n >= 1; the bound e*max(n_i)
+and acyclic=True carry over unchanged.
+
+ext_oracle returns the whole profile (Ext^0, ..., Ext^top) of one complex,
+or of one Koszul complex per nu; ext_block and ext_abelian_oracle memoize
+it under top = max(i, 1).
 
 Closed mode for block pairs uses that D = D1 x D2 with E acting trivially
 on D2, so the group factors as (D1 x| E) x D2 and Ext assembles by the
 Kunneth formula.  The D2 factor comes from the shape lemma alone; the
 D1 x| E factor is still computed by this oracle on the D1-element list.
-So crosscheck compares two independent computations only on the D2 side.
+So crosscheck compares two independent computations only on the D2 side,
+except where the oracle side takes the Koszul route: then it compares the
+bar complex on D1 x| E with Hom_D(K, -) on D.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
@@ -76,13 +107,25 @@ def block_ring(ctx: BlockContext) -> ChainRing:
 
 # -- the F-fixed bar complex ----------------------------------------------
 
-def _check_size(nd: int, top: int, rc: int, size_guard: int | None) -> None:
-    """Refuse a bar complex whose top cochain space, nd^top x rc cells,
-    exceeds the guard (DEFAULT_SIZE_GUARD when None)."""
+def _check_size(cells: int, size_guard: int | None, shape: str,
+                *parts) -> None:
+    """Refuse a complex whose top cochain space has ``cells`` cells, when
+    that exceeds the guard (DEFAULT_SIZE_GUARD when None).  The message
+    names the count as ``shape`` formatted with ``parts``."""
     guard = DEFAULT_SIZE_GUARD if size_guard is None else size_guard
-    if nd ** top * rc > guard:
+    if cells > guard:
         raise SizeGuardExceeded(
-            f"bar complex size ({nd}^{top} x {rc}) exceeds the guard {guard}")
+            f"{shape.format(*parts)} exceeds the guard {guard}")
+
+
+def _coefficients(ring, M1: ModuleRep, M2: ModuleRep):
+    """E_f on M1* (x) M2 for every f, and the D-character of each basis
+    vector; the dual acts by inverse transposes."""
+    F = M1.F
+    assert F is M2.F and F.order_of[0] == 1, "modules over one subgroup"
+    Ef = kron_array(ring, M1.mats[np.array(F.inverse, dtype=np.intp)]
+                    .swapaxes(1, 2), M2.mats)
+    return Ef, [a.inverse().mul(b) for a in M1.dchars for b in M2.dchars]
 
 
 def _fixed_bar_complex(ring, G, elems, M1: ModuleRep, M2: ModuleRep,
@@ -100,13 +143,10 @@ def _fixed_bar_complex(ring, G, elems, M1: ModuleRep, M2: ModuleRep,
     of one face are batched products, BLOCK elements at a time, added
     into the matrix."""
     D, F = G.D, M1.F
-    assert F is M2.F and F.order_of[0] == 1, "modules over one subgroup"
     rc, nd, dt, pN = M1.rank * M2.rank, len(elems), ring.dtype, ring.pN
-    _check_size(nd, top, rc, size_guard)
-    # E_f on M1* (x) M2 for every f: the dual acts by inverse transposes
-    Ef = kron_array(ring, M1.mats[np.array(F.inverse, dtype=np.intp)]
-                    .swapaxes(1, 2), M2.mats)
-    dchars = [a.inverse().mul(b) for a in M1.dchars for b in M2.dchars]
+    _check_size(nd ** top * rc, size_guard, "bar complex size ({}^{} x {})",
+                nd, top, rc)
+    Ef, dchars = _coefficients(ring, M1, M2)
     idx = {e: i for i, e in enumerate(elems)}
     perms = np.array([[idx[G.action.apply(M1.embed[f], e)] for e in elems]
                       for f in range(F.n)], dtype=np.intp).reshape(F.n, nd)
@@ -199,21 +239,92 @@ def _fixed_bar_complex(ring, G, elems, M1: ModuleRep, M2: ModuleRep,
     return cx
 
 
+# -- the tensor product of periodic resolutions ---------------------------
+
+def _compositions(m: int, t: int) -> list[tuple]:
+    """Exponent vectors (k_1, ..., k_t) >= 0 with sum m, the first entry
+    descending."""
+    if t == 1:
+        return [(m,)]
+    return [(a,) + k for a in range(m, -1, -1)
+            for k in _compositions(m - a, t - 1)]
+
+
+def _check_koszul_size(t: int, top: int, rc: int,
+                       size_guard: int | None) -> None:
+    """Refuse rc copies of Hom_D(K, O_nu) whose top cochain space,
+    C(top + t - 1, t - 1) x rc cells, exceeds the guard."""
+    _check_size(comb(top + t - 1, t - 1) * rc, size_guard,
+                "Koszul complex size (C({}, {}) x {})", top + t - 1, t - 1, rc)
+
+
+def _koszul_complex(ring: ChainRing, D: AbelianPGroup, nu: LinearChar,
+                    top: int) -> ChainComplex:
+    """Hom_D(K, O_nu) through degree ``top`` (see the module docstring):
+    position m has one basis vector per exponent vector with sum m, and
+    face j multiplies by s_j - 1 out of an even k_j, by N_j(s_j) out of an
+    odd one, with the sign (-1)^(k_1 + ... + k_{j-1})."""
+    qm, pN = D.exponent, ring.pN
+    zpow = ring.root_powers(qm)
+    faces = []  # (s_j - 1, N_j(s_j)) for the j-th cyclic factor
+    for j, q in enumerate(D.qs):
+        k = nu.value_exponent(tuple(int(i == j) for i in range(D.t)))
+        faces.append(((zpow[k] - ring.one) % pN,
+                      zpow[k * np.arange(q) % qm].sum(axis=0) % pN))
+    basis = [_compositions(m, D.t) for m in range(top + 1)]
+    diffs = []
+    for m in range(top):
+        row = {k: r for r, k in enumerate(basis[m + 1])}
+        d = np.zeros((len(basis[m + 1]), len(basis[m]), ring.dim),
+                     dtype=ring.dtype)
+        for col, k in enumerate(basis[m]):
+            sign = 1
+            for j, (minus, norm) in enumerate(faces):
+                odd = k[j] % 2
+                d[row[k[:j] + (k[j] + 1,) + k[j + 1:]], col] = \
+                    sign * (norm if odd else minus) % pN
+                sign = -sign if odd else sign
+        diffs.append(d)
+    cx = ChainComplex(ring, [len(b) for b in basis], diffs)
+    cx.verify()
+    return cx
+
+
 def ext_oracle(G, M1: ModuleRep, M2: ModuleRep, top: int, R: ChainRing, *,
                elems=None, size_guard: int | None = None) -> tuple:
-    """(Ext^0, ..., Ext^top) over O(D x| F), F = the modules' group, by bar
-    resolution from one complex through max(top, 1), as Ext^0 reads d^0.
+    """(Ext^0, ..., Ext^top) over O(D x| F), F = the modules' group, from
+    complexes built through max(top, 1), as Ext^0 reads d^0.
 
-    ``elems`` restricts the bar complex to a subgroup of D given by its
-    nontrivial elements (used for the D1 side of the Kunneth assembly).
+    When F fixes D and acts trivially on M1* (x) M2, the complexes are
+    Hom_D(K, O_nu), one per distinct character nu of M1* (x) M2 on D;
+    otherwise the F-fixed bar complex.  ``elems`` restricts the bar
+    complex to a subgroup of D given by its nontrivial elements (used for
+    the D1 side of the Kunneth assembly).
     """
-    bound = smith_bound(G.D, R)
+    bound, T = smith_bound(G.D, R), max(top, 1)
+    if elems is None and set(M1.embed) <= set(G.Z):
+        Ef, dchars = _coefficients(R, M1, M2)
+        eye = np.eye(len(dchars), dtype=R.dtype)[:, :, None] * R.one
+        if (Ef == eye).all():
+            _check_koszul_size(G.D.t, T, len(dchars), size_guard)
+            out = [OModuleClass(R.p, 0)] * (top + 1)
+            for nu, mult in Counter(dchars).items():
+                cx = _koszul_complex(R, G.D, nu, T)
+                out = [e.direct_sum(_o_class(R, mult * free, tors * mult))
+                       for e, (free, tors) in zip(out, homology_of_complex(
+                           cx, bound=bound, acyclic=True))]
+            return tuple(out)
     if elems is None:
         elems = G.D.elements()[1:]
-    cx = _fixed_bar_complex(R, G, elems, M1, M2, max(top, 1), size_guard)
-    return tuple(OModuleClass(R.p, free, tuple(Fraction(t, R.e) for t in tors))
-                 for free, tors in homology_of_complex(
-                     cx, bound=bound, acyclic=True)[:top + 1])
+    cx = _fixed_bar_complex(R, G, elems, M1, M2, T, size_guard)
+    return tuple(_o_class(R, free, tors) for free, tors in
+                 homology_of_complex(cx, bound=bound, acyclic=True)[:top + 1])
+
+
+def _o_class(R: ChainRing, free: int, tors) -> OModuleClass:
+    """The O-module class of free rank ``free`` and torsion pi-exponents
+    ``tors``."""
+    return OModuleClass(R.p, free, tuple(Fraction(t, R.e) for t in tors))
 
 
 # -- closed forms ---------------------------------------------------------
@@ -280,7 +391,7 @@ def ext_abelian_oracle(D: AbelianPGroup, lam1: LinearChar, lam2: LinearChar,
     top = max(i, 1)
     out = ctx.memo(("abelian", mu, top, N), _abelian_class, ctx, mu, top, N,
                    size_guard)
-    _check_size(ctx.G.D.order - 1, top, 1, size_guard)
+    _check_koszul_size(ctx.G.D.t, top, 1, size_guard)
     return out[i]
 
 

@@ -196,10 +196,11 @@ def test_verify_refuses_a_setting_below_one_once(tmp_path, capsys,
 
 def test_verify_pure_reads_size_guard_and_precision(capsys):
     # the sweep over D alone reads both settings, and the memo the first
-    # run fills does not hide the guard
-    c9 = str(CORPUS / "c9.blockspec")
-    assert run(capsys, "verify", c9)[0] == 0
-    code, doc = run(capsys, "verify", c9, "--size-guard=1")
+    # run fills does not hide the guard.  Over C_3 x C_3 the Koszul complex
+    # has C(3, 1) = 3 cells at degree 2, which a guard of 1 refuses
+    c3x3, c9 = str(CORPUS / "c3x3.blockspec"), str(CORPUS / "c9.blockspec")
+    assert run(capsys, "verify", c3x3)[0] == 0
+    code, doc = run(capsys, "verify", c3x3, "--size-guard=1")
     check = {c["name"]: c for c in doc["specs"][0]["checks"]}
     assert code == 3 and check["closed_vs_oracle"]["status"] == "bound"
     assert "guard 1" in check["closed_vs_oracle"]["detail"]

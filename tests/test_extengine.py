@@ -3,6 +3,7 @@
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from blockext import (BlockContext, LinearChar, OModuleClass, brauer_chars,
@@ -15,7 +16,7 @@ from blockext.errors import (BlockExtError, PrecisionUnstable,
 from blockext import chainlinalg, extengine
 from blockext.extengine import (abelian_context, block_ring,
                                 ext1_modp_simples, ext_oracle, rank1_rep)
-from blockext.modrep import ModuleRep
+from blockext.modrep import ModuleRep, build_module_rep, vchi_rep
 from blockext.omodule import val_one_minus_zeta
 from blockext.specfile import load_spec, to_context
 from modpref import ext1_of_reductions, ext1_of_simples
@@ -126,16 +127,17 @@ def test_size_guard_trips():
     R = block_ring(ctx)
     triv = LinearChar(D, (0,))
     M = rank1_rep(ctx, triv, R)
-    with pytest.raises(SizeGuardExceeded):
-        ext_oracle(ctx.G, M, M, 2, R, size_guard=10)
+    # the oracle over C_9 alone builds C(2, 0) = 1 cell at degree 2
+    with pytest.raises(SizeGuardExceeded, match=r"C\(2, 0\) x 1"):
+        ext_oracle(ctx.G, M, M, 2, R, size_guard=0)
 
 
 def test_abelian_memo_hit_still_trips_the_guard():
     D = abelian_context(3, (2,)).G.D
     triv = LinearChar(D, (0,))
     ext_abelian_oracle(D, triv, triv, 2)  # memoized from here on
-    with pytest.raises(SizeGuardExceeded, match="guard 10"):
-        ext_abelian_oracle(D, triv, triv, 2, size_guard=10)
+    with pytest.raises(SizeGuardExceeded, match="guard 0"):
+        ext_abelian_oracle(D, triv, triv, 2, size_guard=0)
 
 
 def test_size_guard_zero_is_a_guard(example_a):
@@ -172,6 +174,164 @@ def test_abelian_precision_below_one_is_refused():
     for N in (0, -1):
         with pytest.raises(BlockExtError, match="below 1"):
             ext_abelian_oracle(D, triv, triv, 2, precision=N)
+
+
+# -- the Koszul route against the bar complex -----------------------------
+
+def count_work(monkeypatch):
+    """Count Smith eliminations, bar complexes and Koszul complexes built
+    from here on."""
+    counts = {"smith": 0, "bar": 0, "koszul": 0}
+    for key, mod, name in [("smith", chainlinalg, "_smith_exponents"),
+                           ("bar", extengine, "_fixed_bar_complex"),
+                           ("koszul", extengine, "_koszul_complex")]:
+        def counted(*args, key=key, fn=getattr(mod, name)):
+            counts[key] += 1
+            return fn(*args)
+        monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def bar_reference(G, M1, M2, top, R):
+    """(Ext^0, ..., Ext^top) from the F-fixed bar complex of all of D, the
+    general route, whatever F does."""
+    cx = extengine._fixed_bar_complex(R, G, G.D.elements()[1:], M1, M2,
+                                      max(top, 1), None)
+    return tuple(extengine._o_class(R, free, tors) for free, tors in
+                 chainlinalg.homology_of_complex(
+                     cx, bound=extengine.smith_bound(G.D, R),
+                     acyclic=True)[:top + 1])
+
+
+def koszul_profile(counts, G, M1, M2, top, R):
+    """ext_oracle's profile, asserting through the counts of count_work
+    that it built Koszul complexes and no bar complex."""
+    counts.update(bar=0, koszul=0)
+    out = ext_oracle(G, M1, M2, top, R)
+    assert counts["bar"] == 0 and counts["koszul"] > 0
+    return out
+
+
+@pytest.mark.parametrize("p,orders", [(3, (1, 2)), (2, (2, 2)), (2, (3,)),
+                                      (5, (1,)), (3, (1, 1, 1))])
+@pytest.mark.parametrize("least", [False, True])
+def test_koszul_matches_the_bar_complex(monkeypatch, p, orders, least):
+    # every mu at degrees 0 to 2, at the default precision and at the
+    # least one, max(n_i) + 1, where the certificate has no slack
+    ctx = abelian_context(p, orders)
+    D, a = ctx.G.D, max(orders)
+    R = chain_ring(p, a + 1 if least else extengine.default_precision(a),
+                   a, 1)
+    triv = rank1_rep(ctx, LinearChar(D, (0,) * D.t), R)
+    counts = count_work(monkeypatch)
+    for mu in all_chars(D):
+        M = rank1_rep(ctx, mu, R)
+        assert koszul_profile(counts, ctx.G, triv, M, 2, R) == \
+            bar_reference(ctx.G, triv, M, 2, R), mu.vec
+
+
+@pytest.mark.parametrize("orders", [(1, 1), (2,)])
+def test_koszul_matches_the_bar_complex_past_degree_two(monkeypatch, orders):
+    ctx = abelian_context(3, orders)
+    D = ctx.G.D
+    R = block_ring(ctx)
+    triv = rank1_rep(ctx, LinearChar(D, (0,) * D.t), R)
+    counts = count_work(monkeypatch)
+    for mu in all_chars(D):
+        M = rank1_rep(ctx, mu, R)
+        assert koszul_profile(counts, ctx.G, triv, M, 3, R) == \
+            bar_reference(ctx.G, triv, M, 3, R), mu.vec
+
+
+@pytest.mark.parametrize("name", ["example-b", "example-c", "q8-c3xc3",
+                                  "q8z-c3xc3"])
+def test_shapiro_classes_over_z_match_the_bar_complex(monkeypatch, name):
+    # a pivot whose stabilizer lies in Z = C_E(D) acts trivially on D, and
+    # by the central character phi on both modules, so on neither
+    # coefficient; the Shapiro class takes the Koszul route
+    ctx = to_context(load_spec(CORPUS / f"{name}.blockspec"))
+    G, R = ctx.G, block_ring(ctx)
+    irr = build_irr_B(ctx)
+    pivots = [c for c in irr if set(c.stab_embed) <= set(G.Z)]
+    assert pivots
+    counts = count_work(monkeypatch)
+    for c1 in pivots:
+        line = vchi_rep(ctx, c1, R)
+        for c2 in irr:
+            res = build_module_rep(ctx, c2, R).restrict_to(
+                line.F, line.embed, line.embed)
+            assert koszul_profile(counts, G, line, res, 2, R) == \
+                bar_reference(G, line, res, 2, R), (c1.key(), c2.key())
+    if name in ("example-b", "q8z-c3xc3"):  # stabilizer Z of order 2
+        assert {len(c.stab_embed) for c in pivots} == {2}
+
+
+def test_coefficient_action_keeps_the_bar_complex(monkeypatch):
+    # F = C_2 fixes D = C_3 but acts on the line M2 by the sign, so the
+    # F-fixed points cut H^n(D, O_lam) to 0; the Koszul route would not
+    G = validate_block_spec(3, [1], [((1, 0), [[1]])])
+    ctx = BlockContext(G, 1)
+    R = block_ring(ctx)
+    E, one = G.E, R.one
+    sign = np.array([one if E.order_of[f] == 1 else (-one) % R.pN
+                     for f in range(E.n)]).reshape(E.n, 1, 1, R.dim)
+    counts = count_work(monkeypatch)
+    for vec in ((0,), (1,)):
+        lam = LinearChar(G.D, vec)
+        M1 = rank1_rep(ctx, LinearChar(G.D, (0,)), R)
+        M2 = ModuleRep(R, E, range(E.n), [lam], sign)
+        counts.update(bar=0, koszul=0)
+        out = ext_oracle(G, M1, M2, 2, R)
+        assert counts["bar"] == 1 and counts["koszul"] == 0
+        assert out == bar_reference(G, M1, M2, 2, R) == \
+            (OModuleClass(3, 0),) * 3
+        # the same line with F trivial on it is H^n(D, O_lam), by Koszul
+        M2 = rank1_rep(ctx, lam, R)
+        assert koszul_profile(counts, G, M1, M2, 2, R) == \
+            bar_reference(G, M1, M2, 2, R) == tuple(
+                ext_abelian_closed(G.D, LinearChar(G.D, (0,)), lam, n)
+                for n in range(3))
+
+
+def test_koszul_guard_counts_degree_one_at_degree_zero():
+    # Ext^0 reads d^0, so its complex reaches degree 1: C(2, 1) = 2 cells
+    # over C_3 x C_3, above a guard of 1
+    ctx = abelian_context(3, (1, 1))
+    D, R = ctx.G.D, block_ring(ctx)
+    triv = LinearChar(D, (0, 0))
+    M = rank1_rep(ctx, triv, R)
+    with pytest.raises(SizeGuardExceeded, match=r"C\(2, 1\) x 1"):
+        ext_oracle(ctx.G, M, M, 0, R, size_guard=1)
+    with pytest.raises(SizeGuardExceeded, match=r"C\(2, 1\) x 1"):
+        ext_abelian_oracle(D, triv, triv, 0, size_guard=1)
+    assert ext_abelian_oracle(D, triv, triv, 0, size_guard=2) == \
+        OModuleClass(3, 1)
+
+
+def test_oracle_reach_past_the_bar_complex():
+    # Ext^2 over D alone at the default guard, one mu of each order: the
+    # bar complex of C_25 x C_25 has 624^2 cells, over the guard
+    for p, orders in [(3, (1,) * 5), (2, (4, 4)), (3, (3, 2)), (5, (2, 2))]:
+        D = abelian_context(p, orders).G.D
+        triv = LinearChar(D, (0,) * D.t)
+        for k in range(max(orders) + 1):
+            mu = LinearChar(D, tuple(p ** (n - min(k, n)) % p ** n
+                                     for n in orders))
+            assert mu.order() == p ** k
+            assert ext_abelian_oracle(D, triv, mu, 2) == \
+                ext_abelian_closed(D, triv, mu, 2), (orders, k)
+
+
+def test_closed_mode_on_d_alone_keeps_d1():
+    # trivial E lies in Z and acts trivially on the coefficients, but the
+    # closed engine's oracle runs on D1 = 1, which the Koszul route over
+    # all of D must not replace
+    ctx = to_context(load_spec(CORPUS / "c3x9.blockspec"))
+    irr = build_irr_B(ctx)
+    for c2 in irr[:6]:
+        for i in (0, 1, 2):
+            assert ext_block(ctx, irr[0], c2, i, "closed") == \
+                ext_abelian_closed(ctx.G.D, irr[0].lam, c2.lam, i)
 
 
 # -- block dispatch -------------------------------------------------------
@@ -219,36 +379,25 @@ def test_example_b_closed_equals_oracle(monkeypatch):
                 assert closed == oracle, (c1, c2, i)
 
 
-def count_work(monkeypatch):
-    """Count Smith eliminations and bar complexes built from here on."""
-    counts = {"smith": 0, "complexes": 0}
-    smith, build = chainlinalg._smith_exponents, extengine._fixed_bar_complex
-
-    def counted_smith(*args):
-        counts["smith"] += 1
-        return smith(*args)
-
-    def counted_build(*args):
-        counts["complexes"] += 1
-        return build(*args)
-    monkeypatch.setattr(chainlinalg, "_smith_exponents", counted_smith)
-    monkeypatch.setattr(extengine, "_fixed_bar_complex", counted_build)
-    return counts
-
-
 def test_each_complex_is_eliminated_once(monkeypatch):
     ctx = to_context(load_spec(CORPUS / "example-c.blockspec"))
     irr = build_irr_B(ctx)
     counts = count_work(monkeypatch)
     # crosscheck at degree 2: both engines build through 2, and each
-    # eliminates its d^0 and d^1
+    # complex has its d^0 and d^1 eliminated.  The pivot's stabilizer lies
+    # in Z, so the oracle builds one Koszul complex per character of D on
+    # the coefficients
     ext_block(ctx, irr[3], irr[5], 2)
-    assert counts == {"smith": 4, "complexes": 2}
-    counts.update(smith=0, complexes=0)
+    assert counts == {"smith": 8, "bar": 1, "koszul": 3}
+    counts.update(smith=0, bar=0, koszul=0)
+    # a pivot whose stabilizer acts on D: the oracle's bar complex
+    ext_block(ctx, irr[0], irr[5], 2)
+    assert counts == {"smith": 4, "bar": 2, "koszul": 0}
+    counts.update(smith=0, bar=0, koszul=0)
     # closed degrees 0 to 2: the complex through 1 serves degrees 0 and 1
     for i in (0, 1, 2):
         ext_block(ctx, irr[2], irr[6], i, "closed")
-    assert counts == {"smith": 3, "complexes": 2}
+    assert counts == {"smith": 3, "bar": 2, "koszul": 0}
 
 
 def test_closed_low_degrees_past_the_degree_two_guard():
@@ -268,6 +417,15 @@ def test_closed_low_degrees_past_the_degree_two_guard():
                 == classes[i], (a, b, i)
     with pytest.raises(SizeGuardExceeded, match=r"624\^2"):
         ext_block(ctx, irr[0], irr[4], 2, "closed")
+    # irr[4] has a trivial stabilizer, so oracle mode reaches Ext^2 on the
+    # Koszul complex: by Shapiro, the sum of H^2(D, O_nu) over the lines
+    # of M_5 restricted to D, each from the shape lemma
+    want = OModuleClass(5, 0)
+    for lam in build_module_rep(ctx, irr[5], block_ring(ctx)).dchars:
+        want = want.direct_sum(
+            ext_abelian_closed(ctx.G.D, irr[4].lam, lam, 2))
+    assert irr[4].stab.n == 1 and want.torsion
+    assert ext_block(ctx, irr[4], irr[5], 2, "oracle") == want
 
 
 def test_shapiro_order_independence(example_a):
