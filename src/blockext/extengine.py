@@ -46,13 +46,36 @@ ext_oracle returns the whole profile (Ext^0, ..., Ext^top) of one complex,
 or of one Koszul complex per nu; ext_block and ext_abelian_oracle memoize
 it under top = max(i, 1).
 
-Closed mode for block pairs uses that D = D1 x D2 with E acting trivially
-on D2, so the group factors as (D1 x| E) x D2 and Ext assembles by the
-Kunneth formula.  The D2 factor comes from the shape lemma alone; the
-D1 x| E factor is still computed by this oracle on the D1-element list.
-So crosscheck compares two independent computations only on the D2 side,
-except where the oracle side takes the Koszul route: then it compares the
-bar complex on D1 x| E with Hom_D(K, -) on D.
+Closed mode builds no complex for a pair (c1, c2) when E_lam1 or E_lam2
+lies in Z.  M_c is induced from H_c = D x| E_lam of W_c = O_lam (x) V_chi.
+By Shapiro (Brown, Cohomology of Groups, III.5-III.6),
+Ext^n_G(M_c1, M_c2) = Ext^n_H(W_c1, M_c2) with H = H_c1, and Mackey's
+formula (Curtis and Reiner, Methods of Representation Theory I,
+section 10) restricts M_c2 to H as the sum, over the double cosets
+E_lam1 g E_lam2 of E (D is normal and lies in both), of the modules
+induced from D x| F_g, F_g = E_lam1 meet g E_lam2 g^-1, of gW_c2, on which
+y acts as g^-1 y g does on W_c2.  Shapiro again leaves
+Ext^n_{D x| F_g}(W_c1, gW_c2).  Z is central, so F_g lies in Z for every g
+when either stabilizer does.  Then F_g fixes D, and z in F_g acts on
+V_chi1 and on gV_chi2 by the same scalar phi(z) (chi lies over phi, and
+g^-1 z g = z), so trivially on Hom(W_c1, gW_c2), and the LHS collapse
+above makes the term H^n(D, W_c1* (x) gW_c2).  On D that module is
+chi1(1) chi2(1) copies of O_mu, mu = lam1^-1 (g . lam2), as d acts on
+gW_c2 by lam2(g^-1 d g).  Another representative h1 g h2 of the double
+coset turns mu into h1 . mu, an automorphism of D applied to it, and
+H^n(D, O_mu) depends on mu only through its order (the shape lemma), so
+
+  Ext^n(M_c1, M_c2) = sum over the double cosets E_lam1 g E_lam2 of
+                      chi1(1) chi2(1) . shape_lemma(p, D.orders, ord mu, n).
+
+Every other pair uses that D = D1 x D2 with E acting trivially on D2, so
+the group factors as (D1 x| E) x D2 and Ext assembles by the Kunneth
+formula.  The D2 factor comes from the shape lemma alone; the D1 x| E
+factor is still computed by this oracle on the D1-element list.  So
+crosscheck compares two independent computations on every pair of the
+double-coset route and, on the others, only on the D2 side, except where
+the oracle side takes the Koszul route: then it compares the bar complex
+on D1 x| E with Hom_D(K, -) on D.
 """
 
 from __future__ import annotations
@@ -429,6 +452,38 @@ def _shapiro_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
 
 def _closed_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
                   top: int, R: ChainRing) -> tuple:
+    """Ext^0..top between M_c1 and M_c2 (top <= 2).  When E_lam1 or
+    E_lam2 lies in Z, no complex is built: Shapiro and Mackey reduce the
+    class to one term per double coset E_lam1 g E_lam2, over D x| F_g with
+    F_g inside the central Z, which acts on both V_chi by phi and so
+    trivially on the coefficients.  Each term is chi1(1) chi2(1) copies of
+    H^n(D, O_mu), mu = lam1^-1 (g . lam2), which the shape lemma gives from
+    ord mu alone, as other representatives of the double coset move mu by
+    automorphisms of D (the derivation is in the module docstring).  Every
+    other pair takes _kunneth_class."""
+    G = ctx.G
+    z = set(G.Z)
+    if not (set(c1.stab_embed) <= z or set(c2.stab_embed) <= z):
+        return _kunneth_class(ctx, c1, c2, top, R)
+    E, inv1 = G.E, c1.lam.inverse()
+    orders, covered = [], set()
+    for g in range(E.n):
+        if g in covered:
+            continue
+        covered.update(E.table[E.table[h1][g]][h2] for h1 in c1.stab_embed
+                       for h2 in c2.stab_embed)
+        orders.append(inv1.mul(G.action.on_char(g, c2.lam)).order())
+    mult = c1.chi.degree() * c2.chi.degree()
+    out = []
+    for n in range(top + 1):
+        terms = [shape_lemma(G.D.p, G.D.orders, d, n) for d in orders]
+        out.append(OModuleClass(G.D.p, mult * sum(e.free_rank for e in terms),
+                                mult * sum((e.torsion for e in terms), ())))
+    return tuple(out)
+
+
+def _kunneth_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
+                   top: int, R: ChainRing) -> tuple:
     """Ext^0..top by Kunneth assembly over G = (D1 x| E) x D2.  E fixes
     D2, so the D2 factor is H^*(D2, O_mu), mu = lam1^-1 lam2 on D2, from
     the shape lemma (Brown, Cohomology of Groups, III.10); the D1 x| E

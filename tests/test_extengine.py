@@ -323,15 +323,83 @@ def test_oracle_reach_past_the_bar_complex():
 
 
 def test_closed_mode_on_d_alone_keeps_d1():
-    # trivial E lies in Z and acts trivially on the coefficients, but the
-    # closed engine's oracle runs on D1 = 1, which the Koszul route over
-    # all of D must not replace
+    # trivial E lies in Z, so closed mode takes the double-coset sum and
+    # calls no oracle; the Koszul route over all of D must still not stand
+    # in for an oracle asked for D1 = 1
     ctx = to_context(load_spec(CORPUS / "c3x9.blockspec"))
     irr = build_irr_B(ctx)
     for c2 in irr[:6]:
         for i in (0, 1, 2):
             assert ext_block(ctx, irr[0], c2, i, "closed") == \
                 ext_abelian_closed(ctx.G.D, irr[0].lam, c2.lam, i)
+
+
+# -- closed mode by double cosets against the D1 path ---------------------
+
+def one_way_block():
+    """C_4 acting on C_5 by a -> 2a, whose Ext^1 quiver is one-way."""
+    return BlockContext(validate_block_spec(5, [1], [((1, 2, 3, 0), [[2]])]),
+                        0)
+
+
+@pytest.mark.parametrize("name", ["a4", "example-a", "example-b", "example-c",
+                                  "q8-c3xc3", "q8z-c3xc3", "c5-c4"])
+def test_double_cosets_match_the_d1_path(monkeypatch, name):
+    # every pair with a stabilizer in Z = C_E(D), degrees 0 to 2, against
+    # the D1 oracle and Kunneth assembly; the double-coset sum builds no
+    # complex
+    ctx = one_way_block() if name == "c5-c4" else \
+        to_context(load_spec(CORPUS / f"{name}.blockspec"))
+    R, z = block_ring(ctx), set(ctx.G.Z)
+    irr = build_irr_B(ctx)
+    pairs = [(c1, c2) for c1 in irr for c2 in irr
+             if set(c1.stab_embed) <= z or set(c2.stab_embed) <= z]
+    assert 0 < len(pairs) < len(irr) ** 2
+    counts = count_work(monkeypatch)
+    for c1, c2 in pairs:
+        counts.update(smith=0, bar=0, koszul=0)
+        out = extengine._closed_class(ctx, c1, c2, 2, R)
+        assert counts == {"smith": 0, "bar": 0, "koszul": 0}
+        assert out == extengine._kunneth_class(ctx, c1, c2, 2, R), \
+            (c1.key(), c2.key())
+
+
+def test_double_cosets_past_normal_stabilizers():
+    # S_3 acting on C_25 x C_25 by its reflection representation: Z = 1,
+    # and the stabilizers of order 2 are not normal, so E_lam1 g E_lam2
+    # is a right coset E_lam1 g, not a left one, when E_lam2 = 1.  On the
+    # pairs below g^-1 in place of g, or lam1 and lam2 swapped, changes the
+    # orders of mu; every corpus stabilizer is normal and cannot tell.
+    # The oracle pivots on the trivial stabilizer and builds K on D
+    G = validate_block_spec(5, [2, 2], [((1, 2, 0), [[0, -1], [1, -1]]),
+                                        ((1, 0, 2), [[0, 1], [1, 0]])])
+    ctx = BlockContext(G, 0)
+    irr = build_irr_B(ctx)
+    a = [c for c in irr if c.stab.n == 2 and c.lam.order() == 25][2]
+    free = [c for c in irr if c.stab.n == 1]
+    assert G.Z == (0,) and a.lam.vec == (1, 12)
+    for b in free[12:28]:
+        for i in (1, 2):
+            ext_block(ctx, a, b, i, "crosscheck", via=2)
+
+
+def test_closed_mode_off_z_builds_the_d1_bar_complex(monkeypatch):
+    # neither stabilizer lies in Z: the oracle on the D1 elements
+    ctx = to_context(load_spec(CORPUS / "example-c.blockspec"))
+    G, irr = ctx.G, build_irr_B(ctx)
+    c1, c2 = irr[1], irr[2]
+    z = set(G.Z)
+    assert not (set(c1.stab_embed) <= z or set(c2.stab_embed) <= z)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("elems"))
+        return ext_oracle(*args, **kwargs)
+    monkeypatch.setattr(extengine, "ext_oracle", counted)
+    counts = count_work(monkeypatch)
+    ext_block(ctx, c1, c2, 2, "closed")
+    assert calls == [[e for e in G.d1_elements if e != G.D.identity]]
+    assert counts == {"smith": 2, "bar": 1, "koszul": 0}
 
 
 # -- block dispatch -------------------------------------------------------
@@ -366,44 +434,59 @@ def test_example_b_closed_equals_oracle(monkeypatch):
         return ext_oracle(*args, **kwargs)
     monkeypatch.setattr(extengine, "ext_oracle", counted)
     irr = build_irr_B(ctx)
+    z = set(G.Z)
+    routes = set()
     for c1 in irr:
         for c2 in irr:
+            mackey = set(c1.stab_embed) <= z or set(c2.stab_embed) <= z
+            routes.add(mackey)
             for i in (0, 1, 2):
                 before = len(calls)
                 closed = ext_block(ctx, c1, c2, i, "closed")
-                # one oracle call per pair and top = max(i, 1), on the
+                # a stabilizer in Z: the double-coset sum, no oracle call.
+                # Otherwise one call per pair and top = max(i, 1), on the
                 # D1 x| E factor; degree 1 reads degree 0's profile
                 assert [len(e) for e in calls[before:]] == \
-                    [len(G.d1_elements) - 1] * (i != 1)
+                    [len(G.d1_elements) - 1] * (i != 1 and not mackey)
                 oracle = ext_block(ctx, c1, c2, i, "oracle")
                 assert closed == oracle, (c1, c2, i)
+    assert routes == {True, False}
 
 
 def test_each_complex_is_eliminated_once(monkeypatch):
     ctx = to_context(load_spec(CORPUS / "example-c.blockspec"))
     irr = build_irr_B(ctx)
     counts = count_work(monkeypatch)
-    # crosscheck at degree 2: both engines build through 2, and each
-    # complex has its d^0 and d^1 eliminated.  The pivot's stabilizer lies
-    # in Z, so the oracle builds one Koszul complex per character of D on
-    # the coefficients
+    # crosscheck at degree 2: the pivot's stabilizer lies in Z, so the
+    # closed side is the double-coset sum and builds nothing, and the
+    # oracle builds one Koszul complex per character of D on the
+    # coefficients through 2, with its d^0 and d^1 eliminated
     ext_block(ctx, irr[3], irr[5], 2)
-    assert counts == {"smith": 8, "bar": 1, "koszul": 3}
+    assert counts == {"smith": 6, "bar": 0, "koszul": 3}
     counts.update(smith=0, bar=0, koszul=0)
-    # a pivot whose stabilizer acts on D: the oracle's bar complex
+    # a pivot whose stabilizer acts on D: the oracle's bar complex; the
+    # other stabilizer lies in Z, so the closed side builds nothing
     ext_block(ctx, irr[0], irr[5], 2)
-    assert counts == {"smith": 4, "bar": 2, "koszul": 0}
+    assert counts == {"smith": 2, "bar": 1, "koszul": 0}
     counts.update(smith=0, bar=0, koszul=0)
-    # closed degrees 0 to 2: the complex through 1 serves degrees 0 and 1
+    # closed degrees 0 to 2 with neither stabilizer in Z: the D1 complex
+    # through 1 serves degrees 0 and 1
+    for i in (0, 1, 2):
+        ext_block(ctx, irr[1], irr[2], i, "closed")
+    assert counts == {"smith": 3, "bar": 2, "koszul": 0}
+    # both stabilizers of (irr[2], irr[6]) in Z: closed mode builds nothing
+    counts.update(smith=0, bar=0, koszul=0)
     for i in (0, 1, 2):
         ext_block(ctx, irr[2], irr[6], i, "closed")
-    assert counts == {"smith": 3, "bar": 2, "koszul": 0}
+    assert counts == {"smith": 0, "bar": 0, "koszul": 0}
 
 
 def test_closed_low_degrees_past_the_degree_two_guard():
-    # C_4 acting on C_25 x C_25 by the scalar 7: D1 = D, and the default
+    # C_4 acting on C_25 x C_25 by the scalar 7: D1 = D, Z = 1, and only
+    # irr[0] to irr[3] (lambda = 0) have the stabilizer C_4.  The default
     # guard admits 624^1 cells but not 624^2, so closed mode reaches
-    # Ext^0 and Ext^1 by building the D1 complex only through degree 1
+    # Ext^0 and Ext^1 of two of them by building the D1 complex only
+    # through degree 1; a trivial stabilizer builds nothing
     ctx = to_context(load_spec(SPECS / "c25x25-c4.blockspec"))
     irr = build_irr_B(ctx)
     w1, w2 = val_one_minus_zeta(5, 1), val_one_minus_zeta(5, 2)
@@ -415,17 +498,22 @@ def test_closed_low_degrees_past_the_degree_two_guard():
             closed = ext_block(ctx, irr[a], irr[b], i, "closed")
             assert closed == ext_block(ctx, irr[a], irr[b], i, "oracle") \
                 == classes[i], (a, b, i)
+    assert irr[1].stab.n == 4 and irr[4].stab.n == 1
     with pytest.raises(SizeGuardExceeded, match=r"624\^2"):
-        ext_block(ctx, irr[0], irr[4], 2, "closed")
-    # irr[4] has a trivial stabilizer, so oracle mode reaches Ext^2 on the
-    # Koszul complex: by Shapiro, the sum of H^2(D, O_nu) over the lines
-    # of M_5 restricted to D, each from the shape lemma
-    want = OModuleClass(5, 0)
-    for lam in build_module_rep(ctx, irr[5], block_ring(ctx)).dchars:
-        want = want.direct_sum(
-            ext_abelian_closed(ctx.G.D, irr[4].lam, lam, 2))
-    assert irr[4].stab.n == 1 and want.torsion
-    assert ext_block(ctx, irr[4], irr[5], 2, "oracle") == want
+        ext_block(ctx, irr[0], irr[1], 2, "closed")
+    # irr[4] has a trivial stabilizer, so oracle mode pivoting on it
+    # reaches Ext^2 on the Koszul complex, and closed mode by double
+    # cosets: by Shapiro, the sum of H^2(D, O_nu) over the lines of the
+    # other module restricted to D, each from the shape lemma
+    for a, b, via in [(4, 5, 1), (0, 4, 2)]:
+        pivot, other = (a, b) if via == 1 else (b, a)
+        want = OModuleClass(5, 0)
+        for lam in build_module_rep(ctx, irr[other], block_ring(ctx)).dchars:
+            want = want.direct_sum(
+                ext_abelian_closed(ctx.G.D, irr[pivot].lam, lam, 2))
+        assert want.torsion
+        assert ext_block(ctx, irr[a], irr[b], 2, "oracle", via=via) == \
+            ext_block(ctx, irr[a], irr[b], 2, "closed") == want, (a, b)
 
 
 def test_shapiro_order_independence(example_a):
@@ -491,8 +579,7 @@ def test_ext1_modp_matches_the_reduced_lattices(name):
     # and weighted by decomposition numbers against the bar complex of the
     # two reductions mod pi
     if name == "c5-c4":  # C_4 acting on C_5 by a -> 2a: a one-way quiver
-        G = validate_block_spec(5, [1], [((1, 2, 3, 0), [[2]])])
-        ctx = BlockContext(G, 0)
+        ctx = one_way_block()
         assert ext1_modp_simples(ctx, 0, 3) != ext1_modp_simples(ctx, 3, 0)
     else:
         ctx = to_context(load_spec(CORPUS / f"{name}.blockspec"))
