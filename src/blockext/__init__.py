@@ -65,7 +65,6 @@ from .extengine import (
     ext_block,
     ext_oracle,
     ext_shape_classify,
-    rank1_rep,
 )
 from .analysis import (
     CandidateSet,

@@ -276,13 +276,6 @@ class ChainRing:
         return self.monomial(0, 0, n)
 
     @property
-    def x_elt(self) -> np.ndarray:
-        # for f = 1 the class of x is the root -h[0] of the linear factor
-        if self.f > 1:
-            return self.monomial(1, 0)
-        return self.from_int(-self.h[0])
-
-    @property
     def z_elt(self) -> np.ndarray:
         if self.a == 0:
             raise ValueError("no ramified part when a = 0")

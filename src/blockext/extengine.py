@@ -23,7 +23,7 @@ H^a(F, H^b(D, M)) vanishes for a > 0 (|F| is invertible), so
 H^n(D x F, M) = H^n(D, M)^F = H^n(D, M): F acts on H^n(D, M) through its
 actions on D and on M, and both are trivial.  M restricts to D as the sum
 of the lines O_nu_c, one per basis vector, and cohomology is additive, so
-Ext^n = sum_c H^n(D, O_nu_c); each distinct nu is computed once.
+Ext^n = sum_c H^n(D, O_nu_c) (Brown, Cohomology of Groups, I.6 and V.1).
 
 For D = C_q1 x ... x C_qt with generators x_j, the periodic resolution of
 C_qj has O C_qj in every degree, with boundary x_j - 1 out of odd degrees
@@ -42,9 +42,13 @@ complex is the reduction of Hom_D(K, O_nu) over O, whose cohomology is
 H^n(D, O_nu), killed by exp(D) in degrees n >= 1; the bound e*max(n_i)
 and acyclic=True carry over unchanged.
 
-ext_oracle returns the whole profile (Ext^0, ..., Ext^top) of one complex,
-or of one Koszul complex per nu; ext_block and ext_abelian_oracle memoize
-it under top = max(i, 1).
+ext_oracle returns the whole profile (Ext^0, ..., Ext^top), from the
+F-fixed bar complex or as the sum of the lines H^*(D, O_nu) with their
+multiplicities.  Each line comes from one Koszul complex and is memoized
+in the context under ("line", nu, top, N), top = max(i, 1), so pairs that
+share a line build it once; pure D is the one-line case, and
+ext_abelian_oracle reads the same memo.  ext_block memoizes the pair's
+profile under the same top.
 
 Closed mode builds no complex for a pair (c1, c2) when E_lam1 or E_lam2
 lies in Z.  M_c is induced from H_c = D x| E_lam of W_c = O_lam (x) V_chi.
@@ -70,12 +74,12 @@ H^n(D, O_mu) depends on mu only through its order (the shape lemma), so
 
 Every other pair uses that D = D1 x D2 with E acting trivially on D2, so
 the group factors as (D1 x| E) x D2 and Ext assembles by the Kunneth
-formula.  The D2 factor comes from the shape lemma alone; the D1 x| E
-factor is still computed by this oracle on the D1-element list.  So
-crosscheck compares two independent computations on every pair of the
-double-coset route and, on the others, only on the D2 side, except where
-the oracle side takes the Koszul route: then it compares the bar complex
-on D1 x| E with Hom_D(K, -) on D.
+formula.  The D2 factor comes from the shape lemma alone; closed mode
+builds the E-fixed bar complex of the D1-element list itself and never
+calls ext_oracle.  So crosscheck compares two independent computations on
+every pair of the double-coset route and, on the others, only on the D2
+side, except where the oracle side takes the Koszul route: then it
+compares the bar complex on D1 x| E with Hom_D(K, -) on D.
 """
 
 from __future__ import annotations
@@ -313,41 +317,60 @@ def _koszul_complex(ring: ChainRing, D: AbelianPGroup, nu: LinearChar,
     return cx
 
 
-def ext_oracle(G, M1: ModuleRep, M2: ModuleRep, top: int, R: ChainRing, *,
-               elems=None, size_guard: int | None = None) -> tuple:
+def ext_oracle(ctx: BlockContext, M1: ModuleRep, M2: ModuleRep, top: int,
+               R: ChainRing) -> tuple:
     """(Ext^0, ..., Ext^top) over O(D x| F), F = the modules' group, from
-    complexes built through max(top, 1), as Ext^0 reads d^0.
+    complexes built through max(top, 1), as Ext^0 reads d^0, under the
+    context's size guard.
 
-    When F fixes D and acts trivially on M1* (x) M2, the complexes are
-    Hom_D(K, O_nu), one per distinct character nu of M1* (x) M2 on D;
-    otherwise the F-fixed bar complex.  ``elems`` restricts the bar
-    complex to a subgroup of D given by its nontrivial elements (used for
-    the D1 side of the Kunneth assembly).
+    When F fixes D and acts trivially on M1* (x) M2, the class is the sum
+    of the memoized lines H^*(D, O_nu), one per character nu of M1* (x) M2
+    on D, with its multiplicity; otherwise the F-fixed bar complex of D.
     """
-    bound, T = smith_bound(G.D, R), max(top, 1)
-    if elems is None and set(M1.embed) <= set(G.Z):
+    G, T = ctx.G, max(top, 1)
+    smith_bound(G.D, R)  # a too-low precision fails before any build
+    if set(M1.embed) <= set(G.Z):
         Ef, dchars = _coefficients(R, M1, M2)
         eye = np.eye(len(dchars), dtype=R.dtype)[:, :, None] * R.one
         if (Ef == eye).all():
-            _check_koszul_size(G.D.t, T, len(dchars), size_guard)
+            _check_koszul_size(G.D.t, T, len(dchars),
+                               ctx.options.get("size_guard"))
             out = [OModuleClass(R.p, 0)] * (top + 1)
             for nu, mult in Counter(dchars).items():
-                cx = _koszul_complex(R, G.D, nu, T)
-                out = [e.direct_sum(_o_class(R, mult * free, tors * mult))
-                       for e, (free, tors) in zip(out, homology_of_complex(
-                           cx, bound=bound, acyclic=True))]
+                line = ctx.memo(("line", nu.vec, T, R.N), _line_class, R,
+                                G.D, nu, T)
+                out = [e.direct_sum(OModuleClass(R.p, mult * h.free_rank,
+                                                 h.torsion * mult))
+                       for e, h in zip(out, line)]
             return tuple(out)
-    if elems is None:
-        elems = G.D.elements()[1:]
-    cx = _fixed_bar_complex(R, G, elems, M1, M2, T, size_guard)
-    return tuple(_o_class(R, free, tors) for free, tors in
-                 homology_of_complex(cx, bound=bound, acyclic=True)[:top + 1])
+    return _bar_class(ctx, G.D.elements()[1:], M1, M2, top, R)
 
 
-def _o_class(R: ChainRing, free: int, tors) -> OModuleClass:
-    """The O-module class of free rank ``free`` and torsion pi-exponents
-    ``tors``."""
-    return OModuleClass(R.p, free, tuple(Fraction(t, R.e) for t in tors))
+def _line_class(R: ChainRing, D: AbelianPGroup, nu: LinearChar,
+                top: int) -> tuple:
+    """(H^0, ..., H^top)(D, O_nu) from Hom_D(K, O_nu).  The class depends
+    on R only through N: p and a are fixed by D, and adjoining the m'-th
+    roots of unity is unramified, so it leaves the valuations alone.
+    Memoized per context under ("line", nu.vec, top, N)."""
+    return _profile(R, D, _koszul_complex(R, D, nu, top))
+
+
+def _bar_class(ctx: BlockContext, elems, M1: ModuleRep, M2: ModuleRep,
+               top: int, R: ChainRing) -> tuple:
+    """(Ext^0, ..., Ext^top) from the F-fixed bar complex of the element
+    list (the nontrivial elements of D or of a subgroup) through
+    max(top, 1), under the context's size guard."""
+    cx = _fixed_bar_complex(R, ctx.G, elems, M1, M2, max(top, 1),
+                            ctx.options.get("size_guard"))
+    return _profile(R, ctx.G.D, cx)[:top + 1]
+
+
+def _profile(R: ChainRing, D: AbelianPGroup, cx: ChainComplex) -> tuple:
+    """The O-module class of the cohomology of an Ext complex over D at
+    every position, certified by smith_bound."""
+    return tuple(OModuleClass(R.p, free, tuple(Fraction(t, R.e) for t in tors))
+                 for free, tors in homology_of_complex(
+                     cx, bound=smith_bound(D, R), acyclic=True))
 
 
 # -- closed forms ---------------------------------------------------------
@@ -383,7 +406,7 @@ def ext_abelian_closed(D: AbelianPGroup, lam1: LinearChar, lam2: LinearChar,
 @cache
 def abelian_context(p: int, orders: tuple[int, ...]) -> BlockContext:
     """The block context with trivial E for plain abelian Ext, one per
-    (p, orders); its memo holds the classes of ext_abelian_oracle."""
+    (p, orders); its memo holds the lines of ext_abelian_oracle."""
     t = len(orders)
     ident = tuple(tuple(1 if a == b else 0 for b in range(t))
                   for a in range(t))
@@ -391,20 +414,14 @@ def abelian_context(p: int, orders: tuple[int, ...]) -> BlockContext:
     return BlockContext(G, 0)
 
 
-def rank1_rep(ctx: BlockContext, lam: LinearChar, ring: ChainRing) -> ModuleRep:
-    """The line O_lam with trivial E-action (pure-D contexts)."""
-    E = ctx.G.E
-    return ModuleRep(ring, E, range(E.n), [lam],
-                     np.broadcast_to(ring.one, (E.n, 1, 1, ring.dim)))
-
-
 def ext_abelian_oracle(D: AbelianPGroup, lam1: LinearChar, lam2: LinearChar,
                        i: int, *, precision: int | None = None,
                        size_guard: int | None = None) -> OModuleClass:
-    """Oracle Ext over D alone; the profile through max(i, 1) is memoized
-    on the character quotient, that top and the precision.  A negative
-    degree and a precision below 1 are refused, and the size guard is
-    checked on every call, so a memo hit trips it as a miss would."""
+    """Oracle Ext over D alone, Ext^i(O_lam1, O_lam2) = H^i(D, O_mu) with
+    mu = lam1^-1 lam2: the line through max(i, 1), memoized on mu, that
+    top and the precision.  A negative degree and a precision below 1 are
+    refused, and the size guard is checked on every call, so a memo hit
+    trips it as a miss would."""
     ctx = abelian_context(D.p, D.orders)
     mu = lam1.inverse().mul(lam2).vec
     N = default_precision(max(D.orders, default=0)) if precision is None \
@@ -412,7 +429,7 @@ def ext_abelian_oracle(D: AbelianPGroup, lam1: LinearChar, lam2: LinearChar,
     if i < 0:
         raise BlockExtError("negative cohomological degree")
     top = max(i, 1)
-    out = ctx.memo(("abelian", mu, top, N), _abelian_class, ctx, mu, top, N,
+    out = ctx.memo(("line", mu, top, N), _abelian_class, ctx, mu, top, N,
                    size_guard)
     _check_koszul_size(ctx.G.D.t, top, 1, size_guard)
     return out[i]
@@ -424,9 +441,9 @@ def _abelian_class(ctx: BlockContext, mu: tuple, top: int, N: int,
         raise BlockExtError(f"precision {N} is below 1")
     D = ctx.G.D
     R = chain_ring(D.p, N, max(D.orders, default=0), 1)
-    return ext_oracle(ctx.G, rank1_rep(ctx, LinearChar(D, (0,) * D.t), R),
-                      rank1_rep(ctx, LinearChar(D, mu), R), top, R,
-                      size_guard=size_guard)
+    smith_bound(D, R)
+    _check_koszul_size(D.t, top, 1, size_guard)
+    return _line_class(R, D, LinearChar(D, mu), top)
 
 
 # -- block-level dispatch -------------------------------------------------
@@ -439,15 +456,13 @@ def _shapiro_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
     (V_chi1, M_c2 res).  via=2 reverses the roles through the coinduction
     adjunction (induction and coinduction agree at finite index): Ext
     over D x| E_lam2 of (M_c1 res, V_chi2)."""
-    G = ctx.G
     pivot = c1 if via == 1 else c2
     other = c2 if via == 1 else c1
     line = vchi_rep(ctx, pivot, R)
     res = build_module_rep(ctx, other, R).restrict_to(
         line.F, line.embed, line.embed)
     M1, M2 = (line, res) if via == 1 else (res, line)
-    return ext_oracle(G, M1, M2, top, R,
-                      size_guard=ctx.options.get("size_guard"))
+    return ext_oracle(ctx, M1, M2, top, R)
 
 
 def _closed_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
@@ -491,8 +506,7 @@ def _kunneth_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
     G = ctx.G
     d1 = [e for e in G.d1_elements if e != G.D.identity]
     M1, M2 = build_module_rep(ctx, c1, R), build_module_rep(ctx, c2, R)
-    left = ext_oracle(G, M1, M2, top, R, elems=d1,
-                      size_guard=ctx.options.get("size_guard"))
+    left = _bar_class(ctx, d1, M1, M2, top, R)
     mu = c1.lam.inverse().mul(c2.lam)
     qm = G.D.exponent
     d = max(qm // gcd(mu.value_exponent(x), qm) for x in G.d2_elements)

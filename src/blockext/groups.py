@@ -457,8 +457,9 @@ class BlockContext:
     IBr(B) and the decomposition matrix, and "ext1" for the table of dim_k
     Ext^1 between simple modules; tuples tagged "module" (induced) and
     "vchi" (the lines they are induced from) for module representations,
-    "ext" (block pairs) and "abelian" (the pure contexts of
-    ext_abelian_oracle) for Ext profiles (Ext^0, ..., Ext^max(i, 1)).
+    "ext" for the Ext profiles (Ext^0, ..., Ext^max(i, 1)) of block pairs,
+    and "line" for the profiles (H^0, ..., H^top)(D, O_nu) that the Koszul
+    route and ext_abelian_oracle sum.
     """
 
     G: SemidirectGroup
@@ -487,16 +488,3 @@ class BlockContext:
     @property
     def z_order(self) -> int:
         return len(self.G.Z)
-
-    def phi_value_exponent(self, z: int) -> int:
-        """phi(z) = zeta_{|Z|}^k: returns k for a Z element index."""
-        E, zorder = self.G.E, len(self.G.Z)
-        if zorder == 1 or z == 0:
-            return 0
-        x = self.G.z_gen
-        acc, j = x, 1
-        while acc != z:
-            acc = E.table[acc][x]
-            j += 1
-            assert j <= zorder
-        return (self.phi_exponent * j) % zorder

@@ -15,7 +15,7 @@ from blockext.errors import (BlockExtError, PrecisionUnstable,
                              SizeGuardExceeded)
 from blockext import chainlinalg, extengine
 from blockext.extengine import (abelian_context, block_ring,
-                                ext1_modp_simples, ext_oracle, rank1_rep)
+                                ext1_modp_simples, ext_oracle)
 from blockext.modrep import ModuleRep, build_module_rep, vchi_rep
 from blockext.omodule import val_one_minus_zeta
 from blockext.specfile import load_spec, to_context
@@ -29,6 +29,19 @@ def all_chars(D):
     import itertools
     for vec in itertools.product(*(range(q) for q in D.qs)):
         yield LinearChar(D, vec)
+
+
+def rank1_rep(ctx, lam, ring):
+    """The line O_lam with trivial E-action."""
+    E = ctx.G.E
+    return ModuleRep(ring, E, range(E.n), [lam],
+                     np.broadcast_to(ring.one, (E.n, 1, 1, ring.dim)))
+
+
+def fresh(p, orders, **options):
+    """A context over D alone with an empty memo, unlike the shared
+    abelian_context."""
+    return BlockContext(abelian_context(p, orders).G, 0, options)
 
 
 # -- closed formulas ------------------------------------------------------
@@ -85,9 +98,10 @@ def test_oracle_memoizes_on_character_quotient():
     before = set(ctx.cache)
     ext_abelian_oracle(D, l1, l2, 1)
     ext_abelian_oracle(D, LinearChar(D, (2,)), LinearChar(D, (3,)), 1)
-    # both pairs share the quotient character mu = (1,), one memo entry
-    assert set(ctx.cache) - before <= {("abelian", (1,), 1, 6)}
-    assert ("abelian", (1,), 1, 6) in ctx.cache
+    # both pairs share the quotient character mu = (1,), one memo entry:
+    # the line H^*(C_9, O_mu) through degree 1 at N = 6
+    assert set(ctx.cache) - before <= {("line", (1,), 1, 6)}
+    assert ("line", (1,), 1, 6) in ctx.cache
 
 
 # the acceptance suite's pure defect groups, and three with p = 5
@@ -122,14 +136,14 @@ def test_precision_too_low_raises_before_building(example_a):
 
 
 def test_size_guard_trips():
-    ctx = abelian_context(3, (2,))
+    ctx = fresh(3, (2,), size_guard=0)
     D = ctx.G.D
     R = block_ring(ctx)
     triv = LinearChar(D, (0,))
     M = rank1_rep(ctx, triv, R)
     # the oracle over C_9 alone builds C(2, 0) = 1 cell at degree 2
     with pytest.raises(SizeGuardExceeded, match=r"C\(2, 0\) x 1"):
-        ext_oracle(ctx.G, M, M, 2, R, size_guard=0)
+        ext_oracle(ctx, M, M, 2, R)
 
 
 def test_abelian_memo_hit_still_trips_the_guard():
@@ -192,23 +206,22 @@ def count_work(monkeypatch):
     return counts
 
 
-def bar_reference(G, M1, M2, top, R):
+def bar_reference(ctx, M1, M2, top, R):
     """(Ext^0, ..., Ext^top) from the F-fixed bar complex of all of D, the
     general route, whatever F does."""
-    cx = extengine._fixed_bar_complex(R, G, G.D.elements()[1:], M1, M2,
-                                      max(top, 1), None)
-    return tuple(extengine._o_class(R, free, tors) for free, tors in
-                 chainlinalg.homology_of_complex(
-                     cx, bound=extengine.smith_bound(G.D, R),
-                     acyclic=True)[:top + 1])
+    return extengine._bar_class(ctx, ctx.G.D.elements()[1:], M1, M2, top, R)
 
 
-def koszul_profile(counts, G, M1, M2, top, R):
+def koszul_profile(counts, ctx, M1, M2, top, R):
     """ext_oracle's profile, asserting through the counts of count_work
-    that it built Koszul complexes and no bar complex."""
+    that it built no bar complex and one Koszul complex per line that the
+    context's memo did not hold yet."""
+    nus = extengine._coefficients(R, M1, M2)[1]
+    new = {("line", nu.vec, max(top, 1), R.N) for nu in nus} - set(ctx.cache)
     counts.update(bar=0, koszul=0)
-    out = ext_oracle(G, M1, M2, top, R)
-    assert counts["bar"] == 0 and counts["koszul"] > 0
+    out = ext_oracle(ctx, M1, M2, top, R)
+    assert counts["bar"] == 0 and counts["koszul"] == len(new)
+    assert new <= set(ctx.cache)
     return out
 
 
@@ -218,7 +231,7 @@ def koszul_profile(counts, G, M1, M2, top, R):
 def test_koszul_matches_the_bar_complex(monkeypatch, p, orders, least):
     # every mu at degrees 0 to 2, at the default precision and at the
     # least one, max(n_i) + 1, where the certificate has no slack
-    ctx = abelian_context(p, orders)
+    ctx = fresh(p, orders)
     D, a = ctx.G.D, max(orders)
     R = chain_ring(p, a + 1 if least else extengine.default_precision(a),
                    a, 1)
@@ -226,21 +239,23 @@ def test_koszul_matches_the_bar_complex(monkeypatch, p, orders, least):
     counts = count_work(monkeypatch)
     for mu in all_chars(D):
         M = rank1_rep(ctx, mu, R)
-        assert koszul_profile(counts, ctx.G, triv, M, 2, R) == \
-            bar_reference(ctx.G, triv, M, 2, R), mu.vec
+        assert koszul_profile(counts, ctx, triv, M, 2, R) == \
+            bar_reference(ctx, triv, M, 2, R), mu.vec
+        assert counts["koszul"] == 1
 
 
 @pytest.mark.parametrize("orders", [(1, 1), (2,)])
 def test_koszul_matches_the_bar_complex_past_degree_two(monkeypatch, orders):
-    ctx = abelian_context(3, orders)
+    ctx = fresh(3, orders)
     D = ctx.G.D
     R = block_ring(ctx)
     triv = rank1_rep(ctx, LinearChar(D, (0,) * D.t), R)
     counts = count_work(monkeypatch)
     for mu in all_chars(D):
         M = rank1_rep(ctx, mu, R)
-        assert koszul_profile(counts, ctx.G, triv, M, 3, R) == \
-            bar_reference(ctx.G, triv, M, 3, R), mu.vec
+        assert koszul_profile(counts, ctx, triv, M, 3, R) == \
+            bar_reference(ctx, triv, M, 3, R), mu.vec
+        assert counts["koszul"] == 1
 
 
 @pytest.mark.parametrize("name", ["example-b", "example-c", "q8-c3xc3",
@@ -248,7 +263,8 @@ def test_koszul_matches_the_bar_complex_past_degree_two(monkeypatch, orders):
 def test_shapiro_classes_over_z_match_the_bar_complex(monkeypatch, name):
     # a pivot whose stabilizer lies in Z = C_E(D) acts trivially on D, and
     # by the central character phi on both modules, so on neither
-    # coefficient; the Shapiro class takes the Koszul route
+    # coefficient; the Shapiro class takes the Koszul route, and pairs
+    # after the first find some of their lines in the memo
     ctx = to_context(load_spec(CORPUS / f"{name}.blockspec"))
     G, R = ctx.G, block_ring(ctx)
     irr = build_irr_B(ctx)
@@ -260,8 +276,8 @@ def test_shapiro_classes_over_z_match_the_bar_complex(monkeypatch, name):
         for c2 in irr:
             res = build_module_rep(ctx, c2, R).restrict_to(
                 line.F, line.embed, line.embed)
-            assert koszul_profile(counts, G, line, res, 2, R) == \
-                bar_reference(G, line, res, 2, R), (c1.key(), c2.key())
+            assert koszul_profile(counts, ctx, line, res, 2, R) == \
+                bar_reference(ctx, line, res, 2, R), (c1.key(), c2.key())
     if name in ("example-b", "q8z-c3xc3"):  # stabilizer Z of order 2
         assert {len(c.stab_embed) for c in pivots} == {2}
 
@@ -281,14 +297,14 @@ def test_coefficient_action_keeps_the_bar_complex(monkeypatch):
         M1 = rank1_rep(ctx, LinearChar(G.D, (0,)), R)
         M2 = ModuleRep(R, E, range(E.n), [lam], sign)
         counts.update(bar=0, koszul=0)
-        out = ext_oracle(G, M1, M2, 2, R)
+        out = ext_oracle(ctx, M1, M2, 2, R)
         assert counts["bar"] == 1 and counts["koszul"] == 0
-        assert out == bar_reference(G, M1, M2, 2, R) == \
+        assert out == bar_reference(ctx, M1, M2, 2, R) == \
             (OModuleClass(3, 0),) * 3
         # the same line with F trivial on it is H^n(D, O_lam), by Koszul
         M2 = rank1_rep(ctx, lam, R)
-        assert koszul_profile(counts, G, M1, M2, 2, R) == \
-            bar_reference(G, M1, M2, 2, R) == tuple(
+        assert koszul_profile(counts, ctx, M1, M2, 2, R) == \
+            bar_reference(ctx, M1, M2, 2, R) == tuple(
                 ext_abelian_closed(G.D, LinearChar(G.D, (0,)), lam, n)
                 for n in range(3))
 
@@ -296,16 +312,40 @@ def test_coefficient_action_keeps_the_bar_complex(monkeypatch):
 def test_koszul_guard_counts_degree_one_at_degree_zero():
     # Ext^0 reads d^0, so its complex reaches degree 1: C(2, 1) = 2 cells
     # over C_3 x C_3, above a guard of 1
-    ctx = abelian_context(3, (1, 1))
+    ctx = fresh(3, (1, 1), size_guard=1)
     D, R = ctx.G.D, block_ring(ctx)
     triv = LinearChar(D, (0, 0))
     M = rank1_rep(ctx, triv, R)
     with pytest.raises(SizeGuardExceeded, match=r"C\(2, 1\) x 1"):
-        ext_oracle(ctx.G, M, M, 0, R, size_guard=1)
+        ext_oracle(ctx, M, M, 0, R)
     with pytest.raises(SizeGuardExceeded, match=r"C\(2, 1\) x 1"):
         ext_abelian_oracle(D, triv, triv, 0, size_guard=1)
     assert ext_abelian_oracle(D, triv, triv, 0, size_guard=2) == \
         OModuleClass(3, 1)
+
+
+def test_pairs_sharing_a_line_build_it_once(monkeypatch):
+    # over C_3 x C_3 a second pair with the quotient lam1^-1 lam2 of
+    # (irr[0], irr[1]) shares its line, so its oracle call builds no
+    # complex; a context with a guard whose memo holds that line still
+    # refuses the pair, before any build
+    ctx = to_context(load_spec(CORPUS / "c3x3.blockspec"))
+    irr = build_irr_B(ctx)
+    a, b = irr[0], irr[1]
+    mu = a.lam.inverse().mul(b.lam).vec
+    c1, c2 = next((c1, c2) for c1 in irr[1:] for c2 in irr
+                  if c1.lam.inverse().mul(c2.lam).vec == mu)
+    counts = count_work(monkeypatch)
+    first = ext_block(ctx, a, b, 2, "oracle")
+    assert counts == {"smith": 2, "bar": 0, "koszul": 1}
+    assert ext_block(ctx, c1, c2, 2, "oracle") == first
+    assert counts == {"smith": 2, "bar": 0, "koszul": 1}
+    R = block_ring(ctx)
+    guarded = BlockContext(ctx.G, 0, {"size_guard": 2})
+    guarded.cache[("line", mu, 2, R.N)] = ctx.cache[("line", mu, 2, R.N)]
+    with pytest.raises(SizeGuardExceeded, match=r"C\(3, 1\) x 1"):
+        ext_block(guarded, a, b, 2, "oracle")
+    assert counts == {"smith": 2, "bar": 0, "koszul": 1}
 
 
 def test_oracle_reach_past_the_bar_complex():
@@ -383,23 +423,56 @@ def test_double_cosets_past_normal_stabilizers():
             ext_block(ctx, a, b, i, "crosscheck", via=2)
 
 
+def bar_elements(monkeypatch):
+    """The element lists of the bar complexes built from here on."""
+    calls, build = [], extengine._fixed_bar_complex
+
+    def counted(ring, G, elems, *args):
+        calls.append(list(elems))
+        return build(ring, G, elems, *args)
+    monkeypatch.setattr(extengine, "_fixed_bar_complex", counted)
+    return calls
+
+
 def test_closed_mode_off_z_builds_the_d1_bar_complex(monkeypatch):
-    # neither stabilizer lies in Z: the oracle on the D1 elements
+    # neither stabilizer lies in Z: the bar complex of the D1 elements
     ctx = to_context(load_spec(CORPUS / "example-c.blockspec"))
     G, irr = ctx.G, build_irr_B(ctx)
     c1, c2 = irr[1], irr[2]
     z = set(G.Z)
     assert not (set(c1.stab_embed) <= z or set(c2.stab_embed) <= z)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("elems"))
-        return ext_oracle(*args, **kwargs)
-    monkeypatch.setattr(extengine, "ext_oracle", counted)
     counts = count_work(monkeypatch)
+    calls = bar_elements(monkeypatch)
     ext_block(ctx, c1, c2, 2, "closed")
     assert calls == [[e for e in G.d1_elements if e != G.D.identity]]
     assert counts == {"smith": 2, "bar": 1, "koszul": 0}
+
+
+def refuse(name):
+    def raiser(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return raiser
+
+
+@pytest.mark.parametrize("name", ["a4", "example-b", "example-c", "q8-c3xc3",
+                                  "q8z-c3xc3"])
+def test_each_engine_runs_without_the_other(monkeypatch, name):
+    # closed mode never calls the oracle, not even for the D1 x| E factor,
+    # and the oracle never calls closed mode's builders; every ordered pair
+    # at degrees 0 to 2.  The two modes share the block's modules, and
+    # ext_block's memo keys on the mode
+    ctx = to_context(load_spec(CORPUS / f"{name}.blockspec"))
+    irr = build_irr_B(ctx)
+    for mode, builders in [("closed", ["ext_oracle"]),
+                           ("oracle", ["shape_lemma", "kunneth_assemble",
+                                       "_closed_class"])]:
+        with monkeypatch.context() as m:
+            for fn in builders:
+                m.setattr(extengine, fn, refuse(fn))
+            for c1 in irr:
+                for c2 in irr:
+                    for i in (0, 1, 2):
+                        ext_block(ctx, c1, c2, i, mode)
 
 
 # -- block dispatch -------------------------------------------------------
@@ -427,12 +500,7 @@ def test_example_b_closed_equals_oracle(monkeypatch):
     # D2 = C_3 is nontrivial here, so the shape-lemma D2 factor is tested
     G = validate_block_spec(3, [1, 1], [((1, 2, 3, 0), [[-1, 0], [0, 1]])])
     ctx = BlockContext(G, phi_exponent=1)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("elems"))
-        return ext_oracle(*args, **kwargs)
-    monkeypatch.setattr(extengine, "ext_oracle", counted)
+    calls = bar_elements(monkeypatch)
     irr = build_irr_B(ctx)
     z = set(G.Z)
     routes = set()
@@ -443,9 +511,9 @@ def test_example_b_closed_equals_oracle(monkeypatch):
             for i in (0, 1, 2):
                 before = len(calls)
                 closed = ext_block(ctx, c1, c2, i, "closed")
-                # a stabilizer in Z: the double-coset sum, no oracle call.
-                # Otherwise one call per pair and top = max(i, 1), on the
-                # D1 x| E factor; degree 1 reads degree 0's profile
+                # a stabilizer in Z: the double-coset sum, no complex.
+                # Otherwise one bar complex per pair and top = max(i, 1), on
+                # the D1 x| E factor; degree 1 reads degree 0's profile
                 assert [len(e) for e in calls[before:]] == \
                     [len(G.d1_elements) - 1] * (i != 1 and not mackey)
                 oracle = ext_block(ctx, c1, c2, i, "oracle")

@@ -114,7 +114,6 @@ class TestValidation:
         assert len(G.Z) == 2 and G.E.order_of[G.z_gen] == 2
         assert sorted(map(len, (G.d1_elements, G.d2_elements))) == [1, 3]
         assert G.d1_invariants == (1,) and G.d2_invariants == ()
-        assert example_a.phi_value_exponent(G.z_gen) == 1
 
     def test_example_b_structure(self, example_b):
         G = example_b.G
@@ -129,7 +128,6 @@ class TestValidation:
         assert G.Z == (0,) and len(G.d2_elements) == 1
         assert G.d1_invariants == (2, 2)
         assert example_c.z_order == 1
-        assert example_c.phi_value_exponent(0) == 0
 
     def test_p_divides_E(self):
         with pytest.raises(SpecValidationError) as exc:
