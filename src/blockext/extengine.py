@@ -50,36 +50,41 @@ share a line build it once; pure D is the one-line case, and
 ext_abelian_oracle reads the same memo.  ext_block memoizes the pair's
 profile under the same top.
 
-Closed mode builds no complex for a pair (c1, c2) when E_lam1 or E_lam2
-lies in Z.  M_c is induced from H_c = D x| E_lam of W_c = O_lam (x) V_chi.
-By Shapiro (Brown, Cohomology of Groups, III.5-III.6),
-Ext^n_G(M_c1, M_c2) = Ext^n_H(W_c1, M_c2) with H = H_c1, and Mackey's
-formula (Curtis and Reiner, Methods of Representation Theory I,
+Closed mode builds no complex.  M_c is induced from H_c = D x| E_lam of
+W_c = O_lam (x) V_chi.  By Shapiro (Brown, Cohomology of Groups,
+III.5-III.6), Ext^n_G(M_c1, M_c2) = Ext^n_H(W_c1, M_c2) with H = H_c1, and
+Mackey's formula (Curtis and Reiner, Methods of Representation Theory I,
 section 10) restricts M_c2 to H as the sum, over the double cosets
 E_lam1 g E_lam2 of E (D is normal and lies in both), of the modules
-induced from D x| F_g, F_g = E_lam1 meet g E_lam2 g^-1, of gW_c2, on which
-y acts as g^-1 y g does on W_c2.  Shapiro again leaves
-Ext^n_{D x| F_g}(W_c1, gW_c2).  Z is central, so F_g lies in Z for every g
-when either stabilizer does.  Then F_g fixes D, and z in F_g acts on
-V_chi1 and on gV_chi2 by the same scalar phi(z) (chi lies over phi, and
-g^-1 z g = z), so trivially on Hom(W_c1, gW_c2), and the LHS collapse
-above makes the term H^n(D, W_c1* (x) gW_c2).  On D that module is
-chi1(1) chi2(1) copies of O_mu, mu = lam1^-1 (g . lam2), as d acts on
-gW_c2 by lam2(g^-1 d g).  Another representative h1 g h2 of the double
-coset turns mu into h1 . mu, an automorphism of D applied to it, and
-H^n(D, O_mu) depends on mu only through its order (the shape lemma), so
+induced from D x| F, F = E_lam1 meet g E_lam2 g^-1, of gW_c2, on which y
+acts as g^-1 y g does on W_c2.  Shapiro again leaves the term
+H^n(D x| F, O_mu (x) W), mu = lam1^-1 (g . lam2) and W = V_chi1* (x) gV_chi2,
+as d acts on gW_c2 by lam2(g^-1 d g).  mu is F-fixed, so it is trivial
+on D' = [D, F].  By coprime action D = D' x C with C = C_D(F)
+(Gorenstein, Finite Groups, 5.2), F centralizes C, and the term is the
+Kunneth product (Brown, III.10) of H^*(D' x| F, W) with H^*(C, O_mu),
+which the shape lemma gives from C's invariants and ord mu alone.  |F| is
+a unit, so H^i(D' x| F, W) is (H^i(D', O) (x) W)^F: W^F, free of rank
+w = dim_k (W/pi)^F over the residue field k, at i = 0; 0 at i = 1; and at
+i = 2, where H^2(D', O) is Hom(D', K/O) and f acts by h -> h o f^-1, the
+sum of the O/p^m with multiplicity r_(m-1) - r_m.  Here r_i is the
+dimension over k of the F-fixed vectors of layer i of Hom(D', K/O)
+tensored with W/pi: fixed points are exact and free over O/p on each
+layer.  Over kF, which is semisimple, that layer is the dual of layer i
+of D', and layer i of D, p^i D / p^(i+1) D on the coordinates with
+n_j > i, is that layer of C, which F fixes, plus that of D', which has no
+F-fixed vector.  Its dual carries L_i(f) = M(f^-1)^T mod p.  So
+c_i = dim_k L_i^F counts C's cyclic factors of order above p^i, and
+r_i = dim_k (L_i (x) W/pi)^F - c_i w.  Every dimension is the rank of a
+sum over F of a Kronecker product.  Degree top + 1 enters the Kunneth
+sum only as Tor_1 against an H^0, both torsion-free, so it is taken as 0.
+When F lies in Z, D' = 1 and F acts on both V_chi by the same scalar
+phi, so the term is chi1(1) chi2(1) copies of H^n(D, O_mu) and no rank is
+taken.
 
-  Ext^n(M_c1, M_c2) = sum over the double cosets E_lam1 g E_lam2 of
-                      chi1(1) chi2(1) . shape_lemma(p, D.orders, ord mu, n).
-
-Every other pair uses that D = D1 x D2 with E acting trivially on D2, so
-the group factors as (D1 x| E) x D2 and Ext assembles by the Kunneth
-formula.  The D2 factor comes from the shape lemma alone; closed mode
-builds the E-fixed bar complex of the D1-element list itself and never
-calls ext_oracle.  So crosscheck compares two independent computations on
-every pair of the double-coset route and, on the others, only on the D2
-side, except where the oracle side takes the Koszul route: then it
-compares the bar complex on D1 x| E with Hom_D(K, -) on D.
+Crosscheck thus compares engines that share no complex on any pair.
+They still share V_chi (modrep._vchi_matrices, over different rings) and
+free_basis.
 """
 
 from __future__ import annotations
@@ -87,20 +92,18 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import comb, gcd
+from math import comb
 
 import numpy as np
 
 from .chainlinalg import ChainComplex, free_basis, homology_of_complex
 from .chainring import BLOCK, ChainRing, chain_ring
-from .chars import (BlockCharacter, brauer_chars, build_irr_B,
-                    decomposition_matrix)
+from .chars import BlockCharacter, build_irr_B, decomposition_matrix
 from .errors import (BlockExtError, CrossCheckMismatch, PrecisionUnstable,
                      SizeGuardExceeded)
 from .groups import (DEFAULT_SIZE_GUARD, AbelianPGroup, BlockContext,
-                     LinearChar, validate_block_spec)
-from .modrep import (ModuleRep, _vchi_matrices, build_module_rep, kron_array,
-                     vchi_rep)
+                     LinearChar, SemidirectGroup, validate_block_spec)
+from .modrep import ModuleRep, build_module_rep, kron_array, vchi_rep
 from .omodule import OModuleClass, kunneth_assemble, val_one_minus_zeta
 
 
@@ -467,60 +470,66 @@ def _shapiro_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
 
 def _closed_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
                   top: int, R: ChainRing) -> tuple:
-    """Ext^0..top between M_c1 and M_c2 (top <= 2).  When E_lam1 or
-    E_lam2 lies in Z, no complex is built: Shapiro and Mackey reduce the
-    class to one term per double coset E_lam1 g E_lam2, over D x| F_g with
-    F_g inside the central Z, which acts on both V_chi by phi and so
-    trivially on the coefficients.  Each term is chi1(1) chi2(1) copies of
-    H^n(D, O_mu), mu = lam1^-1 (g . lam2), which the shape lemma gives from
-    ord mu alone, as other representatives of the double coset move mu by
-    automorphisms of D (the derivation is in the module docstring).  Every
-    other pair takes _kunneth_class."""
-    G = ctx.G
-    z = set(G.Z)
-    if not (set(c1.stab_embed) <= z or set(c2.stab_embed) <= z):
-        return _kunneth_class(ctx, c1, c2, top, R)
-    E, inv1 = G.E, c1.lam.inverse()
-    orders, covered = [], set()
+    """Ext^0..top between M_c1 and M_c2 (top <= 2) with no complex built:
+    one Kunneth term per double coset E_lam1 g E_lam2, from ranks over the
+    residue field and the shape lemma (see the module docstring)."""
+    G, k = ctx.G, R.residue_ring()
+    D, E, p = G.D, G.E, G.D.p
+    z, inv1 = set(G.Z), c1.lam.inverse()
+    pos1 = {e: i for i, e in enumerate(c1.stab_embed)}
+    pos2 = {e: i for i, e in enumerate(c2.stab_embed)}
+    terms, covered = Counter(), set()
     for g in range(E.n):
         if g in covered:
             continue
         covered.update(E.table[E.table[h1][g]][h2] for h1 in c1.stab_embed
                        for h2 in c2.stab_embed)
-        orders.append(inv1.mul(G.action.on_char(g, c2.lam)).order())
-    mult = c1.chi.degree() * c2.chi.degree()
-    out = []
-    for n in range(top + 1):
-        terms = [shape_lemma(G.D.p, G.D.orders, d, n) for d in orders]
-        out.append(OModuleClass(G.D.p, mult * sum(e.free_rank for e in terms),
-                                mult * sum((e.torsion for e in terms), ())))
-    return tuple(out)
+        mu = inv1.mul(G.action.on_char(g, c2.lam))
+        # F = E_lam1 meet g E_lam2 g^-1, with g^-1 f g for each f in F
+        conj = {f: E.table[E.table[E.inverse[g]][f]][g] for f in pos1}
+        F = [f for f in pos1 if conj[f] in pos2]
+        if set(F) <= z:
+            w, orders, tors = c1.chi.degree() * c2.chi.degree(), D.orders, ()
+        else:
+            assert all(G.action.on_char(f, mu) == mu for f in F), \
+                "mu is not F-fixed"
+            A = vchi_rep(ctx, c1, k).mats[[pos1[E.inverse[f]] for f in F]]
+            B = vchi_rep(ctx, c2, k).mats[[pos2[conj[f]] for f in F]]
+            w, orders, tors = _layer_ranks(G, k, F, A.swapaxes(1, 2), B)
+        terms[w, orders, tors, mu.order()] += 1
+    free, torsion = [0] * (top + 1), [()] * (top + 1)
+    for (w, orders, tors, d), m in terms.items():  # m equal terms at once
+        right = [shape_lemma(p, orders, d, n) for n in range(top + 1)]
+        copies = m * w
+        if tors:  # else left is O^w in degree 0: w copies of right
+            zero = OModuleClass(p, 0)
+            left = [OModuleClass(p, w), zero, OModuleClass(p, 0, tors), zero]
+            right = [kunneth_assemble(left, right + [zero], n)
+                     for n in range(top + 1)]
+            copies = m
+        for n, r in enumerate(right):
+            free[n] += copies * r.free_rank
+            torsion[n] += copies * r.torsion
+    return tuple(OModuleClass(p, *e) for e in zip(free, torsion))
 
 
-def _kunneth_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
-                   top: int, R: ChainRing) -> tuple:
-    """Ext^0..top by Kunneth assembly over G = (D1 x| E) x D2.  E fixes
-    D2, so the D2 factor is H^*(D2, O_mu), mu = lam1^-1 lam2 on D2, from
-    the shape lemma (Brown, Cohomology of Groups, III.10); the D1 x| E
-    factor is the oracle's on D1, through top."""
-    G = ctx.G
-    d1 = [e for e in G.d1_elements if e != G.D.identity]
-    M1, M2 = build_module_rep(ctx, c1, R), build_module_rep(ctx, c2, R)
-    left = _bar_class(ctx, d1, M1, M2, top, R)
-    mu = c1.lam.inverse().mul(c2.lam)
-    qm = G.D.exponent
-    d = max(qm // gcd(mu.value_exponent(x), qm) for x in G.d2_elements)
-    right = [shape_lemma(G.D.p, G.d2_invariants, d, k)
-             for k in range(top + 1)]
-    # degree n needs the factors through n + 1, and top + 1 enters only as
-    # Tor_1(left[top + 1], right[0]) and Tor_1(left[0], right[top + 1]).
-    # Both H^0 are torsion-free (the shape lemma's always is, the D1 x| E
-    # one is checked here), so these vanish and zero placeholders are exact
-    if left[0].torsion:
-        raise BlockExtError("H^0 of a Kunneth factor is not torsion-free")
-    zero = OModuleClass(G.D.p, 0, ())
-    return tuple(kunneth_assemble([*left, zero], [*right, zero], n)
-                 for n in range(top + 1))
+def _layer_ranks(G: SemidirectGroup, k: ChainRing, F: list, A, B) -> tuple:
+    """(w, the invariants of C_D(F), the torsion of (H^2(D', O) (x) W)^F)
+    from the matrices A (x) B of W over k, read layer by layer."""
+    n = max(G.D.orders)
+    dual = np.array(G.action.mats)[[G.E.inverse[f] for f in F]] \
+        .swapaxes(1, 2) % G.D.p
+    w, c, r = _fixed_rank(k, A, B), [0] * (n + 1), [0] * (n + 1)
+    for i in range(n):
+        keep = [j for j, nj in enumerate(G.D.orders) if nj > i]
+        L = np.multiply.outer(dual[:, keep][:, :, keep], k.one)
+        c[i] = _fixed_rank(k, L)
+        r[i] = _fixed_rank(k, A, B, L) - c[i] * w
+    cs = [c[i] - c[i + 1] for i in range(n)]
+    rs = [r[i] - r[i + 1] for i in range(n)]
+    assert min(cs + rs) >= 0, "a layer multiplicity is negative"
+    return (w, tuple(i + 1 for i in range(n) for _ in range(cs[i])),
+            tuple(Fraction(i + 1) for i in range(n) for _ in range(rs[i])))
 
 
 def ext_block(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
@@ -618,17 +627,23 @@ def ext1_modp_simples(ctx: BlockContext, a: int, b: int) -> int:
 
 
 def _modp_table(ctx: BlockContext) -> tuple[tuple[int, ...], ...]:
-    """The rank of sum_e rho(e) (see ext1_modp) for every ordered pair."""
+    """The rank of sum_e rho(e) (see ext1_modp) for every ordered pair.
+    Each psi is read as the line of the member (1, psi) of Irr(B)."""
     G, ring0 = ctx.G, block_ring(ctx).residue_ring()
     inv = np.array(G.E.inverse, dtype=np.intp)
     hom_d = np.multiply.outer(np.array(G.action.mats)[inv].swapaxes(1, 2)
                               % G.D.p, ring0.one)
-    psis = [_vchi_matrices(ring0, G.E, psi) for psi in brauer_chars(ctx)]
+    psis = [vchi_rep(ctx, c, ring0).mats for c in build_irr_B(ctx)
+            if c.lam.is_trivial()]
+    return tuple(tuple(_fixed_rank(ring0, a[inv].swapaxes(1, 2), b, hom_d)
+                       for b in psis) for a in psis)
 
-    def rank(a, b):
-        rho = kron_array(ring0, kron_array(ring0, psis[a][inv].swapaxes(1, 2),
-                                           psis[b]), hom_d)
-        cols = (rho.sum(axis=0) % ring0.pN).swapaxes(0, 1)
-        return len(free_basis(ring0, cols)[0])
-    return tuple(tuple(rank(a, b) for b in range(len(psis)))
-                 for a in range(len(psis)))
+
+def _fixed_rank(k: ChainRing, *factors) -> int:
+    """dim_k of the F-fixed vectors of a tensor product over the residue
+    field k, F a p'-group: the rank of the sum over F of the Kronecker
+    products of the factors' (F.n, r, r, dim) arrays."""
+    rho = factors[0]
+    for x in factors[1:]:
+        rho = kron_array(k, rho, x)
+    return len(free_basis(k, (rho.sum(axis=0) % k.pN).swapaxes(0, 1))[0])

@@ -19,6 +19,7 @@ from blockext.extengine import (abelian_context, block_ring,
 from blockext.modrep import ModuleRep, build_module_rep, vchi_rep
 from blockext.omodule import val_one_minus_zeta
 from blockext.specfile import load_spec, to_context
+from kunnethref import kunneth_class
 from modpref import ext1_of_reductions, ext1_of_simples
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -376,31 +377,39 @@ def test_closed_mode_on_d_alone_keeps_d1():
 
 # -- closed mode by double cosets against the D1 path ---------------------
 
-def one_way_block():
-    """C_4 acting on C_5 by a -> 2a, whose Ext^1 quiver is one-way."""
-    return BlockContext(validate_block_spec(5, [1], [((1, 2, 3, 0), [[2]])]),
-                        0)
+def refuse(name):
+    def raiser(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return raiser
 
 
-@pytest.mark.parametrize("name", ["a4", "example-a", "example-b", "example-c",
-                                  "q8-c3xc3", "q8z-c3xc3", "c5-c4"])
+# what closed mode must never call: the oracle, every complex builder and
+# the elimination, and the induced modules
+CLOSED_REFUSES = ["ext_oracle", "homology_of_complex", "_fixed_bar_complex",
+                  "_koszul_complex", "build_module_rep"]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in
+                                        CORPUS.glob("*.blockspec")))
 def test_double_cosets_match_the_d1_path(monkeypatch, name):
-    # every pair with a stabilizer in Z = C_E(D), degrees 0 to 2, against
-    # the D1 oracle and Kunneth assembly; the double-coset sum builds no
-    # complex
-    ctx = one_way_block() if name == "c5-c4" else \
-        to_context(load_spec(CORPUS / f"{name}.blockspec"))
-    R, z = block_ring(ctx), set(ctx.G.Z)
-    irr = build_irr_B(ctx)
-    pairs = [(c1, c2) for c1 in irr for c2 in irr
-             if set(c1.stab_embed) <= z or set(c2.stab_embed) <= z]
-    assert 0 < len(pairs) < len(irr) ** 2
-    counts = count_work(monkeypatch)
-    for c1, c2 in pairs:
-        counts.update(smith=0, bar=0, koszul=0)
-        out = extengine._closed_class(ctx, c1, c2, 2, R)
-        assert counts == {"smith": 0, "bar": 0, "koszul": 0}
-        assert out == extengine._kunneth_class(ctx, c1, c2, 2, R), \
+    # every ordered pair, degrees 0 to 2, against the D1 path: Kunneth
+    # assembly over (D1 x| E) x D2 with the bar complex of D1.  The
+    # double-coset terms build no complex.  c5-c4's action is not
+    # self-dual and c3x9-c2's D1 is not homocyclic.  On c3x9-c2 and
+    # c5x5-c4 the D1 complex through degree 2 takes about 35 ms a pair (a
+    # 2-core Xeon), so there the pairs with a stabilizer in Z, whose terms
+    # are copies of the shape lemma, are compared through degree 1
+    ctx = to_context(load_spec(CORPUS / f"{name}.blockspec"))
+    R, irr, z = block_ring(ctx), build_irr_B(ctx), set(ctx.G.Z)
+    with monkeypatch.context() as m:
+        for fn in CLOSED_REFUSES:
+            m.setattr(extengine, fn, refuse(fn))
+        closed = {(c1, c2): extengine._closed_class(ctx, c1, c2, 2, R)
+                  for c1 in irr for c2 in irr}
+    for (c1, c2), out in closed.items():
+        top = 1 if name in ("c3x9-c2", "c5x5-c4") and (
+            set(c1.stab_embed) <= z or set(c2.stab_embed) <= z) else 2
+        assert out[:top + 1] == kunneth_class(ctx, c1, c2, top, R), \
             (c1.key(), c2.key())
 
 
@@ -434,8 +443,8 @@ def bar_elements(monkeypatch):
     return calls
 
 
-def test_closed_mode_off_z_builds_the_d1_bar_complex(monkeypatch):
-    # neither stabilizer lies in Z: the bar complex of the D1 elements
+def test_closed_mode_off_z_builds_no_complex(monkeypatch):
+    # neither stabilizer lies in Z: ranks over k, no bar complex of D1
     ctx = to_context(load_spec(CORPUS / "example-c.blockspec"))
     G, irr = ctx.G, build_irr_B(ctx)
     c1, c2 = irr[1], irr[2]
@@ -444,26 +453,20 @@ def test_closed_mode_off_z_builds_the_d1_bar_complex(monkeypatch):
     counts = count_work(monkeypatch)
     calls = bar_elements(monkeypatch)
     ext_block(ctx, c1, c2, 2, "closed")
-    assert calls == [[e for e in G.d1_elements if e != G.D.identity]]
-    assert counts == {"smith": 2, "bar": 1, "koszul": 0}
-
-
-def refuse(name):
-    def raiser(*args, **kwargs):
-        raise AssertionError(f"{name} was called")
-    return raiser
+    assert calls == []
+    assert counts == {"smith": 0, "bar": 0, "koszul": 0}
 
 
 @pytest.mark.parametrize("name", ["a4", "example-b", "example-c", "q8-c3xc3",
                                   "q8z-c3xc3"])
 def test_each_engine_runs_without_the_other(monkeypatch, name):
-    # closed mode never calls the oracle, not even for the D1 x| E factor,
-    # and the oracle never calls closed mode's builders; every ordered pair
-    # at degrees 0 to 2.  The two modes share the block's modules, and
-    # ext_block's memo keys on the mode
+    # closed mode never calls the oracle, builds no complex and no induced
+    # module, and the oracle never calls closed mode's builders; every
+    # ordered pair at degrees 0 to 2.  The two modes share the block's
+    # lines, and ext_block's memo keys on the mode
     ctx = to_context(load_spec(CORPUS / f"{name}.blockspec"))
     irr = build_irr_B(ctx)
-    for mode, builders in [("closed", ["ext_oracle"]),
+    for mode, builders in [("closed", CLOSED_REFUSES),
                            ("oracle", ["shape_lemma", "kunneth_assemble",
                                        "_closed_class"])]:
         with monkeypatch.context() as m:
@@ -497,7 +500,8 @@ def test_example_a_crosscheck_full(example_a):
 
 
 def test_example_b_closed_equals_oracle(monkeypatch):
-    # D2 = C_3 is nontrivial here, so the shape-lemma D2 factor is tested
+    # C_D(E) = C_3 is nontrivial here, so on the pairs whose stabilizers
+    # act on D the shape lemma's factor over C_D(F) is tested
     G = validate_block_spec(3, [1, 1], [((1, 2, 3, 0), [[-1, 0], [0, 1]])])
     ctx = BlockContext(G, phi_exponent=1)
     calls = bar_elements(monkeypatch)
@@ -506,16 +510,13 @@ def test_example_b_closed_equals_oracle(monkeypatch):
     routes = set()
     for c1 in irr:
         for c2 in irr:
-            mackey = set(c1.stab_embed) <= z or set(c2.stab_embed) <= z
-            routes.add(mackey)
+            routes.add(set(c1.stab_embed) <= z or set(c2.stab_embed) <= z)
             for i in (0, 1, 2):
                 before = len(calls)
                 closed = ext_block(ctx, c1, c2, i, "closed")
-                # a stabilizer in Z: the double-coset sum, no complex.
-                # Otherwise one bar complex per pair and top = max(i, 1), on
-                # the D1 x| E factor; degree 1 reads degree 0's profile
-                assert [len(e) for e in calls[before:]] == \
-                    [len(G.d1_elements) - 1] * (i != 1 and not mackey)
+                # no complex on either route: a stabilizer in Z reads the
+                # shape lemma alone, the others take ranks over k too
+                assert len(calls) == before
                 oracle = ext_block(ctx, c1, c2, i, "oracle")
                 assert closed == oracle, (c1, c2, i)
     assert routes == {True, False}
@@ -537,11 +538,11 @@ def test_each_complex_is_eliminated_once(monkeypatch):
     ext_block(ctx, irr[0], irr[5], 2)
     assert counts == {"smith": 2, "bar": 1, "koszul": 0}
     counts.update(smith=0, bar=0, koszul=0)
-    # closed degrees 0 to 2 with neither stabilizer in Z: the D1 complex
-    # through 1 serves degrees 0 and 1
+    # closed degrees 0 to 2 with neither stabilizer in Z: ranks over k,
+    # no complex
     for i in (0, 1, 2):
         ext_block(ctx, irr[1], irr[2], i, "closed")
-    assert counts == {"smith": 3, "bar": 2, "koszul": 0}
+    assert counts == {"smith": 0, "bar": 0, "koszul": 0}
     # both stabilizers of (irr[2], irr[6]) in Z: closed mode builds nothing
     counts.update(smith=0, bar=0, koszul=0)
     for i in (0, 1, 2):
@@ -552,9 +553,10 @@ def test_each_complex_is_eliminated_once(monkeypatch):
 def test_closed_low_degrees_past_the_degree_two_guard():
     # C_4 acting on C_25 x C_25 by the scalar 7: D1 = D, Z = 1, and only
     # irr[0] to irr[3] (lambda = 0) have the stabilizer C_4.  The default
-    # guard admits 624^1 cells but not 624^2, so closed mode reaches
-    # Ext^0 and Ext^1 of two of them by building the D1 complex only
-    # through degree 1; a trivial stabilizer builds nothing
+    # guard admits 624^1 cells but not 624^2, so the oracle reaches Ext^0
+    # and Ext^1 of two of them by building the complex of D only through
+    # degree 1, and refuses Ext^2.  Closed mode builds no complex and
+    # reaches every degree
     ctx = to_context(load_spec(SPECS / "c25x25-c4.blockspec"))
     irr = build_irr_B(ctx)
     w1, w2 = val_one_minus_zeta(5, 1), val_one_minus_zeta(5, 2)
@@ -568,7 +570,12 @@ def test_closed_low_degrees_past_the_degree_two_guard():
                 == classes[i], (a, b, i)
     assert irr[1].stab.n == 4 and irr[4].stab.n == 1
     with pytest.raises(SizeGuardExceeded, match=r"624\^2"):
-        ext_block(ctx, irr[0], irr[1], 2, "closed")
+        ext_block(ctx, irr[0], irr[1], 2, "oracle")
+    # (H^2(D, O) (x) W)^C_4 is 0 for (irr[0], irr[1]), and for
+    # (irr[0], irr[3]) it is all of H^2(D, O), two copies of O/p^2
+    assert ext_block(ctx, irr[0], irr[1], 2, "closed") == OModuleClass(5, 0)
+    assert ext_block(ctx, irr[0], irr[3], 2, "closed") == \
+        OModuleClass(5, 0, (2, 2))
     # irr[4] has a trivial stabilizer, so oracle mode pivoting on it
     # reaches Ext^2 on the Koszul complex, and closed mode by double
     # cosets: by Shapiro, the sum of H^2(D, O_nu) over the lines of the
@@ -646,11 +653,9 @@ def test_ext1_modp_matches_the_reduced_lattices(name):
     # the fixed-point table against the bar complex of the simple modules,
     # and weighted by decomposition numbers against the bar complex of the
     # two reductions mod pi
+    ctx = to_context(load_spec(CORPUS / f"{name}.blockspec"))
     if name == "c5-c4":  # C_4 acting on C_5 by a -> 2a: a one-way quiver
-        ctx = one_way_block()
         assert ext1_modp_simples(ctx, 0, 3) != ext1_modp_simples(ctx, 3, 0)
-    else:
-        ctx = to_context(load_spec(CORPUS / f"{name}.blockspec"))
     n = len(brauer_chars(ctx))
     assert [[ext1_modp_simples(ctx, a, b) for b in range(n)]
             for a in range(n)] == ext1_of_simples(ctx)
