@@ -112,15 +112,15 @@ def enumerate_good_sets(ctx: BlockContext, mode: str = "crosscheck",
 
 
 def _theta_chars(ctx: BlockContext):
-    """Linear characters of D trivial on D_1, i.e. Irr(D_2) inflated."""
+    """E-fixed linear characters of D (trivial on D_1 = [D, E]): Irr(D_2)."""
     G = ctx.G
     D = G.D
     thetas = []
     for vec in itertools.product(*(range(q) for q in D.qs)):
         lam = LinearChar(D, tuple(vec))
-        if lam.is_trivial_on(G.d1_elements):
+        if all(G.action.on_char(e, lam) == lam for e in G.E.generators):
             thetas.append(lam)
-    assert len(thetas) == len(G.d2_elements), \
+    assert len(thetas) == D.p ** sum(G.d2_invariants), \
         "Irr(D_2) count must match |D_2|"
     return thetas
 

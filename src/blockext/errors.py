@@ -12,8 +12,8 @@ class SpecValidationError(BlockExtError):
 
     ``code`` is a stable machine-readable identifier, one of:
     p-not-prime, d-not-p-power, p-divides-E, order-bound, action-shape,
-    action-divisibility, action-not-invertible, action-not-homomorphism,
-    Z-not-cyclic, phi-not-faithful, bad-spec-file.
+    action-divisibility, action-not-homomorphism, Z-not-cyclic,
+    phi-not-faithful, bad-spec-file.
     """
 
     def __init__(self, code: str, message: str):

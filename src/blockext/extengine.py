@@ -15,9 +15,9 @@ tuples and mixes coefficient indices; a fixed-space basis is extracted
 orbitwise from the stabilizer averaging idempotent, with an explicit left
 inverse for coordinate readback.
 
-When F acts trivially, a small resolution replaces the bar complex.
-Say every f in F fixes D (F lies in Z = C_E(D)) and acts as the identity
-on M = M1* (x) M2, and the oracle runs over all of D.  Then D x| F is
+When F lies in Z = C_E(D), a small resolution replaces the bar complex.
+F fixes D, and Z acts on every module of the block by phi, so F acts as
+the identity on M = M1* (x) M2; the oracle runs over all of D.  D x| F is
 D x F, and in the Lyndon-Hochschild-Serre spectral sequence
 H^a(F, H^b(D, M)) vanishes for a > 0 (|F| is invertible), so
 H^n(D x F, M) = H^n(D, M)^F = H^n(D, M): F acts on H^n(D, M) through its
@@ -75,9 +75,12 @@ of D', and layer i of D, p^i D / p^(i+1) D on the coordinates with
 n_j > i, is that layer of C, which F fixes, plus that of D', which has no
 F-fixed vector.  Its dual carries L_i(f) = M(f^-1)^T mod p.  So
 c_i = dim_k L_i^F counts C's cyclic factors of order above p^i, and
-r_i = dim_k (L_i (x) W/pi)^F - c_i w.  Every dimension is the rank of a
-sum over F of a Kronecker product.  Degree top + 1 enters the Kunneth
-sum only as Tor_1 against an H^0, both torsion-free, so it is taken as 0.
+r_i = dim_k (L_i (x) W/pi)^F - c_i w.  A p'-group fixes a layer and its
+dual to the same dimension, so c_i comes from ActionMap.fixed_layers,
+the helper that validation reads C_D(E) from; each other dimension is
+the rank of a sum over F of a Kronecker product.  Degree top + 1 enters
+the Kunneth sum only as Tor_1 against an H^0, both torsion-free, so it
+is taken as 0.
 When F lies in Z, D' = 1 and F acts on both V_chi by the same scalar
 phi, so the term is chi1(1) chi2(1) copies of H^n(D, O_mu) and no rank is
 taken.
@@ -102,7 +105,8 @@ from .chars import BlockCharacter, build_irr_B, decomposition_matrix
 from .errors import (BlockExtError, CrossCheckMismatch, PrecisionUnstable,
                      SizeGuardExceeded)
 from .groups import (DEFAULT_SIZE_GUARD, AbelianPGroup, BlockContext,
-                     LinearChar, SemidirectGroup, validate_block_spec)
+                     LinearChar, SemidirectGroup, _invariants,
+                     validate_block_spec)
 from .modrep import ModuleRep, build_module_rep, kron_array, vchi_rep
 from .omodule import OModuleClass, kunneth_assemble, val_one_minus_zeta
 
@@ -326,26 +330,27 @@ def ext_oracle(ctx: BlockContext, M1: ModuleRep, M2: ModuleRep, top: int,
     complexes built through max(top, 1), as Ext^0 reads d^0, under the
     context's size guard.
 
-    When F fixes D and acts trivially on M1* (x) M2, the class is the sum
-    of the memoized lines H^*(D, O_nu), one per character nu of M1* (x) M2
-    on D, with its multiplicity; otherwise the F-fixed bar complex of D.
+    When F lies in Z, the class is the sum of the memoized lines
+    H^*(D, O_nu), one per character nu of M1* (x) M2 on D, with its
+    multiplicity; otherwise the F-fixed bar complex of D.
     """
     G, T = ctx.G, max(top, 1)
     smith_bound(G.D, R)  # a too-low precision fails before any build
     if set(M1.embed) <= set(G.Z):
         Ef, dchars = _coefficients(R, M1, M2)
         eye = np.eye(len(dchars), dtype=R.dtype)[:, :, None] * R.one
-        if (Ef == eye).all():
-            _check_koszul_size(G.D.t, T, len(dchars),
-                               ctx.options.get("size_guard"))
-            out = [OModuleClass(R.p, 0)] * (top + 1)
-            for nu, mult in Counter(dchars).items():
-                line = ctx.memo(("line", nu.vec, T, R.N), _line_class, R,
-                                G.D, nu, T)
-                out = [e.direct_sum(OModuleClass(R.p, mult * h.free_rank,
-                                                 h.torsion * mult))
-                       for e, h in zip(out, line)]
-            return tuple(out)
+        assert (Ef == eye).all(), "Z acts on every module of the block " \
+            "by phi, so on M1* (x) M2 by phi^-1 phi = 1"
+        _check_koszul_size(G.D.t, T, len(dchars),
+                           ctx.options.get("size_guard"))
+        out = [OModuleClass(R.p, 0)] * (top + 1)
+        for nu, mult in Counter(dchars).items():
+            line = ctx.memo(("line", nu.vec, T, R.N), _line_class, R,
+                            G.D, nu, T)
+            out = [e.direct_sum(OModuleClass(R.p, mult * h.free_rank,
+                                             h.torsion * mult))
+                   for e, h in zip(out, line)]
+        return tuple(out)
     return _bar_class(ctx, G.D.elements()[1:], M1, M2, top, R)
 
 
@@ -519,17 +524,14 @@ def _layer_ranks(G: SemidirectGroup, k: ChainRing, F: list, A, B) -> tuple:
     n = max(G.D.orders)
     dual = np.array(G.action.mats)[[G.E.inverse[f] for f in F]] \
         .swapaxes(1, 2) % G.D.p
-    w, c, r = _fixed_rank(k, A, B), [0] * (n + 1), [0] * (n + 1)
+    w, c, r = _fixed_rank(k, A, B), G.action.fixed_layers(F), [0] * (n + 1)
     for i in range(n):
         keep = [j for j, nj in enumerate(G.D.orders) if nj > i]
         L = np.multiply.outer(dual[:, keep][:, :, keep], k.one)
-        c[i] = _fixed_rank(k, L)
         r[i] = _fixed_rank(k, A, B, L) - c[i] * w
-    cs = [c[i] - c[i + 1] for i in range(n)]
-    rs = [r[i] - r[i + 1] for i in range(n)]
-    assert min(cs + rs) >= 0, "a layer multiplicity is negative"
-    return (w, tuple(i + 1 for i in range(n) for _ in range(cs[i])),
-            tuple(Fraction(i + 1) for i in range(n) for _ in range(rs[i])))
+    assert all(r[i] >= r[i + 1] for i in range(n)), \
+        "a layer multiplicity is negative"
+    return w, _invariants(c), tuple(map(Fraction, _invariants(r)))
 
 
 def ext_block(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,

@@ -3,8 +3,8 @@
 D is an abelian p-group given by invariant factor exponents, E a p'-group
 given by permutation generators, and the action is specified per generator
 by an integer matrix on exponent vectors and extended along the Cayley
-table.  Everything is enumerated explicitly; the scale is desk-sized by
-design and guarded by an order bound.
+table.  E is enumerated explicitly, and C_D(F) is read off layer ranks
+over F_p; the scale is desk-sized by design and guarded by an order bound.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .cyclotomic import isprime
+from .cyclotomic import isprime, rref_mod
 from .errors import OrderBoundExceeded, SpecValidationError
 
 # the default cap on cochain cells, and the least cap on |D| at validation
@@ -68,39 +68,6 @@ class AbelianPGroup:
         return f"AbelianPGroup({parts})"
 
 
-def abelian_invariants(p: int, elements: list[tuple], ambient: AbelianPGroup) -> list[int]:
-    """Invariant factor exponents of a subgroup given by its element list.
-
-    Recovered from order statistics: log_p #{x : p^k x = 0} determines the
-    partition of the abelian p-group.
-    """
-    if len(elements) == 1:
-        return []
-    counts = {}
-    for x in elements:
-        o = ambient.order_of(x)
-        k = 0
-        while p**k < o:
-            k += 1
-        counts[k] = counts.get(k, 0) + 1
-    maxk = max(counts)
-    # m_k = log_p of the p^k-torsion subgroup order
-    ms = []
-    for k in range(maxk + 1):
-        tot = sum(v for kk, v in counts.items() if kk <= k)
-        m = 0
-        while p**m < tot:
-            m += 1
-        assert p**m == tot, "subgroup order statistics are not a p-group's"
-        ms.append(m)
-    invs = []
-    for k in range(1, maxk + 1):
-        mult = (ms[k] - ms[k - 1]) - (ms[k + 1] - ms[k] if k < maxk else 0)
-        invs.extend([k] * mult)
-    invs.sort()
-    return invs
-
-
 # ---------------------------------------------------------------------------
 # linear characters of D
 # ---------------------------------------------------------------------------
@@ -134,9 +101,6 @@ class LinearChar:
 
     def is_trivial(self) -> bool:
         return not any(self.vec)
-
-    def is_trivial_on(self, elements) -> bool:
-        return all(self.value_exponent(x) == 0 for x in elements)
 
     def __repr__(self):
         return f"LinearChar{self.vec}"
@@ -263,7 +227,7 @@ class ActionMap:
     def __init__(self, D: AbelianPGroup, E: FiniteGroup,
                  gen_matrices: list[list[list[int]]]):
         self.D, self.E = D, E
-        t, qs = D.t, D.qs
+        t = D.t
         canon = []
         for M in gen_matrices:
             if len(M) != t or any(len(row) != t for row in M):
@@ -286,19 +250,14 @@ class ActionMap:
                     queue.append(j)
         assert all(M is not None for M in mats)
         self.mats = tuple(mats)
-        for i in range(E.n):
-            for j in range(E.n):
-                if self._mat_mul(mats[i], mats[j]) != mats[E.table[i][j]]:
-                    raise SpecValidationError(
-                        "action-not-homomorphism",
-                        "generator matrices do not extend to a homomorphism")
-        # invertibility: e of finite order, so M[e] composed with itself
-        # closes; still check bijectivity on D explicitly for gen matrices
-        elems = D.elements()
-        for M in canon:
-            if len({D.apply_matrix(M, x) for x in elems}) != D.order:
-                raise SpecValidationError(
-                    "action-not-invertible", "action matrix is not bijective on D")
+        # each generator keeps its own matrix, and M[e] M[e^-1] = M[1] = I
+        # makes every M[e] invertible
+        if any(mats[g] != M for g, M in zip(E.generators, canon)) or any(
+                self._mat_mul(mats[i], mats[j]) != mats[E.table[i][j]]
+                for i in range(E.n) for j in range(E.n)):
+            raise SpecValidationError(
+                "action-not-homomorphism",
+                "generator matrices do not extend to a homomorphism")
 
     def _canon(self, M):
         return tuple(tuple(M[i][j] % self.D.qs[i] for j in range(self.D.t))
@@ -321,6 +280,20 @@ class ActionMap:
 
     def apply(self, e: int, x) -> tuple:
         return self.D.apply_matrix(self.mats[e], x)
+
+    def fixed_layers(self, F) -> list[int]:
+        """dim over F_p of the vectors of layer i, p^i D / p^(i+1) D, that
+        every e in F fixes, for i < max(n_j), then 0.  Layer i has the
+        coordinates with n_j > i, where e acts by M[e] mod p.  F lists a
+        subgroup of E or its generators; by coprime action these are the
+        layers of C_D(F)."""
+        D, out = self.D, []
+        for i in range(max(D.orders)):
+            keep = [j for j, n in enumerate(D.orders) if n > i]
+            rows = [[self.mats[e][a][b] - (a == b) for b in keep]
+                    for e in F for a in keep]
+            out.append(len(keep) - len(rref_mod(rows, D.p)[1]))
+        return out + [0]
 
     def on_char(self, e: int, lam: LinearChar) -> LinearChar:
         """(e . lambda)(x) = lambda(e^{-1} x)."""
@@ -347,10 +320,8 @@ class SemidirectGroup:
     action: ActionMap
     Z: tuple[int, ...]              # element indices of C_E(D)
     z_gen: int                      # designated generator of Z
-    d1_elements: tuple[tuple, ...]  # [D, E]
-    d2_elements: tuple[tuple, ...]  # C_D(E)
-    d1_invariants: tuple[int, ...]
-    d2_invariants: tuple[int, ...]
+    d1_invariants: tuple[int, ...]  # [D, E]
+    d2_invariants: tuple[int, ...]  # C_D(E)
 
     @property
     def order(self) -> int:
@@ -414,7 +385,6 @@ def validate_block_spec(p: int, orders: list[int],
     ident = tuple(tuple(1 if i == j else 0 for j in range(D.t))
                   for i in range(D.t))
     Z = [e for e in range(E.n) if action.mats[e] == ident]
-    zset = set(Z)
     if any(E.table[z][e] != E.table[e][z] for z in Z for e in range(E.n)):
         raise SpecValidationError("Z-not-cyclic", "C_E(D) is not central in E")
     zorder = len(Z)
@@ -423,28 +393,19 @@ def validate_block_spec(p: int, orders: list[int],
         raise SpecValidationError("Z-not-cyclic", "C_E(D) is not cyclic")
     z_gen = min(cyclic_gens) if zorder > 1 else 0
 
-    elems = D.elements()
-    d2 = [x for x in elems
-          if all(action.apply(e, x) == x for e in E.generators)]
-    inv = pow(E.n, -1, D.exponent)
-    d1 = []
-    for x in elems:
-        acc = D.identity
-        for e in range(E.n):
-            acc = D.add(acc, action.apply(e, x))
-        avg = tuple((inv * a) % q for a, q in zip(acc, D.qs))
-        if avg == D.identity:
-            d1.append(x)
-    if len(d1) * len(d2) != D.order or \
-            set(d1) & set(d2) != {D.identity}:
-        raise SpecValidationError(
-            "action-not-homomorphism",
-            "D does not split as [D,E] x C_D(E); invalid action data")
+    # D = [D, E] x C_D(E) by coprime action, and layers add
+    c = action.fixed_layers(E.generators)
+    d1 = [sum(n > i for n in orders) - ci for i, ci in enumerate(c)]
     return SemidirectGroup(
         D=D, E=E, action=action, Z=tuple(Z), z_gen=z_gen,
-        d1_elements=tuple(d1), d2_elements=tuple(d2),
-        d1_invariants=tuple(abelian_invariants(p, d1, D)),
-        d2_invariants=tuple(abelian_invariants(p, d2, D)))
+        d1_invariants=_invariants(d1), d2_invariants=_invariants(c))
+
+
+def _invariants(layers: list[int]) -> tuple[int, ...]:
+    """Invariant exponents, ascending, of the abelian p-group whose layer
+    i has dimension layers[i]; the list ends in 0."""
+    return tuple(i + 1 for i in range(len(layers) - 1)
+                 for _ in range(layers[i] - layers[i + 1]))
 
 
 @dataclass

@@ -1,22 +1,46 @@
 """Good-set machinery, forcing, quiver connectivity."""
 
+import itertools
+
 import pytest
 
 from blockext.analysis import (CandidateSet, check_conjugacy_forcing,
                                enumerate_good_sets, ext_quiver, is_good,
                                predicted_good_sets, verify_classification)
-from blockext.chars import build_irr_B
+from blockext.chars import brauer_chars, build_irr_B
 from blockext.errors import BlockExtError, EnumerationBoundExceeded
 from blockext.extengine import abelian_context
+from blockext.groups import BlockContext, LinearChar, validate_block_spec
+from groupref import split
 
 
 def test_predicted_counts_match_d2(example_a, example_b, example_c):
     assert len(predicted_good_sets(example_a)) == 1
     assert len(predicted_good_sets(example_b)) == 3
     assert len(predicted_good_sets(example_c)) == 1
-    # |predicted| = |D2| in every case
-    assert len(predicted_good_sets(example_b)) == \
-        len(example_b.G.d2_elements)
+    # |predicted| = |D2| in every case, D2 listed by enumeration
+    for ctx in (example_a, example_b, example_c):
+        assert len(predicted_good_sets(ctx)) == \
+            len(split(ctx.G, range(ctx.G.E.n))[1])
+
+
+@pytest.mark.parametrize("gens", [
+    # S_3 on C_5 x C_5, the reflection first: it alone fixes a line
+    [((1, 0, 2), [[0, 1], [1, 0]]), ((1, 2, 0), [[0, -1], [1, -1]])],
+    # C_2 x C_2 on C_5 x C_5 by the signs: each generator fixes a line
+    [((1, 0, 3, 2), [[-1, 0], [0, 1]]), ((2, 3, 0, 1), [[1, 0], [0, -1]])]])
+def test_predicted_fibers_are_the_thetas_trivial_on_d1(gens):
+    # one fiber per theta trivial on D1, listed here, so every generator
+    # of E must fix theta, not only the first
+    ctx = BlockContext(validate_block_spec(5, [1, 1], gens), 0)
+    d1 = split(ctx.G, range(ctx.G.E.n))[0]
+    thetas = [vec for vec in itertools.product(range(5), range(5))
+              if all(LinearChar(ctx.G.D, vec).value_exponent(x) == 0
+                     for x in d1)]
+    assert thetas == [(0, 0)]
+    assert [[c.lam.vec for c in cand.chars]
+            for cand in predicted_good_sets(ctx)] == \
+        [[(0, 0)] * len(brauer_chars(ctx))]
 
 
 def test_example_a_single_good_set(example_a):

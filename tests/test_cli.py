@@ -46,6 +46,20 @@ def test_validate_bad_action_exits_2(tmp_path, capsys):
     assert main(["validate", str(spec)]) == 2
 
 
+@pytest.mark.parametrize("gens", [
+    # C_2 generated twice, by 1 and by -1 on C_5: the -1 was dropped
+    "[generator a]\nperm: 1 0\naction: 1\n\n"
+    "[generator b]\nperm: 1 0\naction: -1\n",
+    # the identity permutation with the matrix 2: read as trivial
+    "[generator e]\nperm: 0\naction: 2\n"], ids=["twice", "identity"])
+def test_validate_generator_matrix_dropped_exits_2(tmp_path, capsys, gens):
+    spec = tmp_path / "bad.blockspec"
+    spec.write_text("format: blockspec 1\nname: bad\np: 5\nd_orders: 1\n\n"
+                    + gens)
+    assert main(["validate", str(spec)]) == 2
+    assert "action-not-homomorphism" in capsys.readouterr().err
+
+
 def test_parse_error_exits_2(tmp_path):
     spec = tmp_path / "junk.blockspec"
     spec.write_text("format: blockspec 1\nname: x\nwhat: 1\n")
@@ -275,6 +289,16 @@ def test_verify_single_spec(capsys):
     assert status == {"validate": "pass", "chars": "pass", "golden": "pass",
                       "ext_sweep": "pass", "uct": "pass", "quiver": "pass",
                       "forcing": "pass", "cyclotomic": "pass"}
+
+
+def test_verify_closed_past_normal_stabilizers(capsys):
+    # S_3 on C_5 x C_5: stabilizers of order 2 that are not normal, so
+    # every double coset E_lam1 g E_lam2 must be read as it stands
+    spec = Path(__file__).resolve().parent / "specs" / "s3-c5x5.blockspec"
+    code, doc = run(capsys, "verify", str(spec), "--mode", "closed")
+    assert code == 0 and doc["passed"]
+    status = {c["name"]: c["status"] for c in doc["specs"][0]["checks"]}
+    assert status["ext_sweep"] == "pass" and status["forcing"] == "pass"
 
 
 def test_verify_a4_skips_what_it_cannot_test(capsys):

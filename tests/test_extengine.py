@@ -283,9 +283,11 @@ def test_shapiro_classes_over_z_match_the_bar_complex(monkeypatch, name):
         assert {len(c.stab_embed) for c in pivots} == {2}
 
 
-def test_coefficient_action_keeps_the_bar_complex(monkeypatch):
-    # F = C_2 fixes D = C_3 but acts on the line M2 by the sign, so the
-    # F-fixed points cut H^n(D, O_lam) to 0; the Koszul route would not
+def test_coefficient_action_over_z_is_refused(monkeypatch):
+    # F = C_2 = Z fixes D = C_3 but acts on the line M2 by the sign, so
+    # the F-fixed points cut H^n(D, O_lam) to 0; the Koszul route would
+    # not.  No pair of one block has such coefficients, as Z acts on every
+    # module by phi, and ext_oracle refuses it before any build
     G = validate_block_spec(3, [1], [((1, 0), [[1]])])
     ctx = BlockContext(G, 1)
     R = block_ring(ctx)
@@ -298,10 +300,10 @@ def test_coefficient_action_keeps_the_bar_complex(monkeypatch):
         M1 = rank1_rep(ctx, LinearChar(G.D, (0,)), R)
         M2 = ModuleRep(R, E, range(E.n), [lam], sign)
         counts.update(bar=0, koszul=0)
-        out = ext_oracle(ctx, M1, M2, 2, R)
-        assert counts["bar"] == 1 and counts["koszul"] == 0
-        assert out == bar_reference(ctx, M1, M2, 2, R) == \
-            (OModuleClass(3, 0),) * 3
+        with pytest.raises(AssertionError, match="by phi"):
+            ext_oracle(ctx, M1, M2, 2, R)
+        assert counts["bar"] == 0 and counts["koszul"] == 0
+        assert bar_reference(ctx, M1, M2, 2, R) == (OModuleClass(3, 0),) * 3
         # the same line with F trivial on it is H^n(D, O_lam), by Koszul
         M2 = rank1_rep(ctx, lam, R)
         assert koszul_profile(counts, ctx, M1, M2, 2, R) == \
@@ -714,13 +716,13 @@ def test_memoized_values_cannot_be_edited(name):
     # the group every context and memo entry shares
     G = ctx.G
     with pytest.raises(TypeError):
-        G.d2_elements[:] = [G.D.identity]
+        G.d2_invariants[:] = [1]
     with pytest.raises(TypeError):
         G.action.mats[1] = G.action.mats[0]
     with pytest.raises(TypeError):
         G.D.qs[0] = 1
     with pytest.raises(AttributeError):
-        G.d1_elements = (G.D.identity,)
+        G.d1_invariants = ()
     assert len(build_irr_B(ctx)) == n
     if name == "example-a":
         assert n == 3

@@ -1,5 +1,7 @@
 """Group construction, validation, and orbit machinery."""
 
+from pathlib import Path
+
 import pytest
 
 from blockext.errors import OrderBoundExceeded, SpecValidationError
@@ -7,10 +9,14 @@ from blockext.groups import (
     AbelianPGroup,
     BlockContext,
     LinearChar,
-    abelian_invariants,
+    _invariants,
     build_group,
     validate_block_spec,
 )
+from blockext.specfile import load_spec, to_context
+from groupref import abelian_invariants, closed_mode_subgroups, split
+
+ROOT = Path(__file__).resolve().parent.parent
 
 C4 = (1, 2, 3, 0)
 C3 = (1, 2, 0)
@@ -43,6 +49,9 @@ class TestAbelianPGroup:
         sub = [x for x in D.elements() if D.order_of(x) in (1, 3)]
         assert abelian_invariants(3, sub, D) == [1, 1]
         assert abelian_invariants(3, [(0, 0)], D) == []
+        # layer i has the factors of order above p^i
+        assert _invariants([2, 1, 0]) == (1, 2)
+        assert _invariants([2, 2, 0]) == (2, 2) and _invariants([0]) == ()
 
 
 class TestLinearChar:
@@ -112,20 +121,22 @@ class TestValidation:
         G = example_a.G
         assert G.D.order == 3 and G.E.n == 4
         assert len(G.Z) == 2 and G.E.order_of[G.z_gen] == 2
-        assert sorted(map(len, (G.d1_elements, G.d2_elements))) == [1, 3]
+        d1, d2 = split(G, range(G.E.n))
+        assert sorted(map(len, (d1, d2))) == [1, 3]
         assert G.d1_invariants == (1,) and G.d2_invariants == ()
 
     def test_example_b_structure(self, example_b):
         G = example_b.G
         assert G.D.order == 9 and len(G.Z) == 2
-        assert set(G.d1_elements) == {(0, 0), (1, 0), (2, 0)}
-        assert set(G.d2_elements) == {(0, 0), (0, 1), (0, 2)}
+        d1, d2 = split(G, range(G.E.n))
+        assert set(d1) == {(0, 0), (1, 0), (2, 0)}
+        assert set(d2) == {(0, 0), (0, 1), (0, 2)}
         assert G.d1_invariants == (1,) and G.d2_invariants == (1,)
 
     def test_example_c_structure(self, example_c):
         G = example_c.G
         assert G.D.order == 16 and G.E.n == 3
-        assert G.Z == (0,) and len(G.d2_elements) == 1
+        assert G.Z == (0,) and split(G, range(G.E.n))[1] == [(0, 0)]
         assert G.d1_invariants == (2, 2)
         assert example_c.z_order == 1
 
@@ -155,6 +166,41 @@ class TestValidation:
         with pytest.raises(SpecValidationError) as exc:
             BlockContext(example_a.G, phi_exponent=2)
         assert exc.value.code == "phi-not-faithful"
+
+
+SPECS = sorted([*(ROOT / "corpus").glob("*.blockspec"),
+                *(ROOT / "tests" / "specs").glob("*.blockspec")])
+
+
+@pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
+def test_fixed_layers_match_the_enumerated_subgroups(path):
+    # C_D(F) and [D, F] from layer ranks against the listed subgroups and
+    # their element orders, for every F that closed mode meets, and for E
+    G = to_context(load_spec(path)).G
+    D = G.D
+    layers = [sum(n > i for n in D.orders) for i in range(max(D.orders) + 1)]
+    for F in closed_mode_subgroups(G) + [list(range(G.E.n))]:
+        comm, fixed = split(G, F)
+        assert len(comm) * len(fixed) == D.order
+        c = G.action.fixed_layers(F)
+        assert _invariants(c) == tuple(abelian_invariants(D.p, fixed, D))
+        assert _invariants([a - b for a, b in zip(layers, c)]) == \
+            tuple(abelian_invariants(D.p, comm, D)), F
+    # the last F is E, which validation reads through its generators
+    assert (G.d1_invariants, G.d2_invariants) == \
+        (tuple(abelian_invariants(D.p, comm, D)),
+         tuple(abelian_invariants(D.p, fixed, D)))
+
+
+def test_set_up_never_lists_d(monkeypatch):
+    # validation reads D's structure off layer ranks: C_25 x C_25 is
+    # validated and its context built without listing its 625 elements
+    def refuse(self):
+        raise AssertionError("D.elements was called")
+    monkeypatch.setattr(AbelianPGroup, "elements", refuse)
+    ctx = to_context(load_spec(ROOT / "tests" / "specs" /
+                               "c25x25-c4.blockspec"))
+    assert ctx.G.d1_invariants == (2, 2) and ctx.G.d2_invariants == ()
 
 
 class TestMemo:
