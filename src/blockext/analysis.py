@@ -120,8 +120,8 @@ def _theta_chars(ctx: BlockContext):
         lam = LinearChar(D, tuple(vec))
         if all(G.action.on_char(e, lam) == lam for e in G.E.generators):
             thetas.append(lam)
-    assert len(thetas) == D.p ** sum(G.d2_invariants), \
-        "Irr(D_2) count must match |D_2|"
+    if len(thetas) != D.p ** sum(G.d2_invariants):
+        raise BlockExtError("Irr(D_2) count must match |D_2|")
     return thetas
 
 

@@ -358,9 +358,13 @@ def _decomposition(ctx: BlockContext) -> tuple[tuple[int, ...], ...]:
             res = ClassFunction(H, [psi(c.stab_embed[cls[0]])
                                     for cls in H.classes])
             mult = c.chi.inner_product(res)
-            assert mult.denominator == 1
+            if mult.denominator != 1:
+                raise BlockExtError(f"decomposition number {mult} is not "
+                                    "an integer")
             row.append(int(mult))
-        assert sum(m * psi.degree() for m, psi in zip(row, ibr)) == c.degree
+        if sum(m * psi.degree() for m, psi in zip(row, ibr)) != c.degree:
+            raise BlockExtError("a decomposition row does not sum to the "
+                                "degree of its character")
         rows.append(tuple(row))
     return tuple(rows)
 

@@ -18,15 +18,13 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (check_conjugacy_forcing, enumerate_good_sets,
-                       ext_quiver, predicted_good_sets, verify_classification)
+                       ext_quiver, predicted_good_sets)
 from .chars import brauer_chars, build_irr_B, decomposition_matrix
 from .errors import (BlockExtError, CrossCheckMismatch,
                      EnumerationBoundExceeded, OrderBoundExceeded,
                      PrecisionUnstable, SizeGuardExceeded,
                      SpecValidationError)
-from .extengine import (block_ring, ext1_modp, ext_abelian_closed,
-                        ext_abelian_oracle, ext_block, ext_shape_classify)
-from .groups import LinearChar
+from .extengine import block_ring, ext1_modp, ext_block, ext_shape_classify
 from .omodule import verify_cyclotomic_identity
 from .results import (block_char_obj, class_function_obj, document,
                       ext_class_obj, render)
@@ -191,26 +189,6 @@ def _check(checks, name, fn):
     return True
 
 
-def _verify_pure(ctx, checks, mode):
-    """Closed-form vs oracle over D alone, all ordered character pairs."""
-    D = ctx.G.D
-    chars = [LinearChar(D, v) for v in D.elements()]
-    opts = {k: ctx.options.get(k) for k in ("precision", "size_guard")}
-
-    def sweep():
-        bad = 0
-        for l1 in chars:
-            for l2 in chars:
-                for i in range(3):
-                    if ext_abelian_closed(D, l1, l2, i) != \
-                            ext_abelian_oracle(D, l1, l2, i, **opts):
-                        bad += 1
-        if bad:
-            raise CrossCheckMismatch(f"{bad} abelian pairs disagree")
-        return f"{len(chars) ** 2} pairs x degrees 0..2 agree"
-    _check(checks, "closed_vs_oracle", sweep)
-
-
 def _verify_block(ctx, checks, mode):
     irr = build_irr_B(ctx)
     pairs = [(a, b) for a in range(len(irr)) for b in range(len(irr))]
@@ -244,6 +222,8 @@ def _verify_block(ctx, checks, mode):
 
     def quiver():
         q = ext_quiver(ctx)
+        if q["vertices"] == 1:
+            raise _Skipped("one simple module: nothing to connect")
         if not q["connected"]:
             raise BlockExtError(f"quiver disconnected: edges {q['edges']}")
         return f"connected on {q['vertices']} vertices"
@@ -297,10 +277,7 @@ def _verify_one(args, path, mode) -> dict:
             checks.append({"name": "golden", "status": "skip",
                            "detail": "no golden file"})
 
-    if ctx.G.E.n == 1:
-        _verify_pure(ctx, checks, mode)
-    else:
-        _verify_block(ctx, checks, mode)
+    _verify_block(ctx, checks, mode)
 
     def cyclo():
         p = ctx.G.D.p

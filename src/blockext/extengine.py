@@ -339,8 +339,9 @@ def ext_oracle(ctx: BlockContext, M1: ModuleRep, M2: ModuleRep, top: int,
     if set(M1.embed) <= set(G.Z):
         Ef, dchars = _coefficients(R, M1, M2)
         eye = np.eye(len(dchars), dtype=R.dtype)[:, :, None] * R.one
-        assert (Ef == eye).all(), "Z acts on every module of the block " \
-            "by phi, so on M1* (x) M2 by phi^-1 phi = 1"
+        if not (Ef == eye).all():
+            raise BlockExtError("Z acts on every module of the block by "
+                                "phi, so on M1* (x) M2 by phi^-1 phi = 1")
         _check_koszul_size(G.D.t, T, len(dchars),
                            ctx.options.get("size_guard"))
         out = [OModuleClass(R.p, 0)] * (top + 1)
@@ -496,8 +497,8 @@ def _closed_class(ctx: BlockContext, c1: BlockCharacter, c2: BlockCharacter,
         if set(F) <= z:
             w, orders, tors = c1.chi.degree() * c2.chi.degree(), D.orders, ()
         else:
-            assert all(G.action.on_char(f, mu) == mu for f in F), \
-                "mu is not F-fixed"
+            if any(G.action.on_char(f, mu) != mu for f in F):
+                raise BlockExtError("mu is not F-fixed")
             A = vchi_rep(ctx, c1, k).mats[[pos1[E.inverse[f]] for f in F]]
             B = vchi_rep(ctx, c2, k).mats[[pos2[conj[f]] for f in F]]
             w, orders, tors = _layer_ranks(G, k, F, A.swapaxes(1, 2), B)
@@ -529,8 +530,8 @@ def _layer_ranks(G: SemidirectGroup, k: ChainRing, F: list, A, B) -> tuple:
         keep = [j for j, nj in enumerate(G.D.orders) if nj > i]
         L = np.multiply.outer(dual[:, keep][:, :, keep], k.one)
         r[i] = _fixed_rank(k, A, B, L) - c[i] * w
-    assert all(r[i] >= r[i + 1] for i in range(n)), \
-        "a layer multiplicity is negative"
+    if any(r[i] < r[i + 1] for i in range(n)):
+        raise BlockExtError("a layer multiplicity is negative")
     return w, _invariants(c), tuple(map(Fraction, _invariants(r)))
 
 

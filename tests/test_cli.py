@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from blockext.cli import main
+from test_extengine import CLOSED_REFUSES, ORACLE_REFUSES, refuse
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 SPEC_A = str(CORPUS / "example-a.blockspec")
@@ -179,17 +180,17 @@ def test_huge_d_is_refused_before_p_is_tested(tmp_path, capsys, p):
 
 def test_verify_reports_an_order_bound_in_a_check_as_bound(capsys,
                                                           monkeypatch):
-    # the pure-D oracle validates D again at the default bound, so a D
-    # admitted under a raised --size-guard meets that bound inside a check
+    # an OrderBoundExceeded raised inside a check reads as "bound", not as
+    # a spec that failed validation
     from blockext import cli
     from blockext.errors import OrderBoundExceeded
 
-    def refuse(*args, **kwargs):
+    def over_bound(*args, **kwargs):
         raise OrderBoundExceeded("D of order 3^2 exceeds the bound 8")
-    monkeypatch.setattr(cli, "ext_abelian_oracle", refuse)
+    monkeypatch.setattr(cli, "ext_block", over_bound)
     code, doc = run(capsys, "verify", str(CORPUS / "c9.blockspec"))
     check = {c["name"]: c for c in doc["specs"][0]["checks"]}
-    assert code == 3 and check["closed_vs_oracle"]["status"] == "bound"
+    assert code == 3 and check["ext_sweep"]["status"] == "bound"
 
 
 def test_verify_refuses_a_setting_below_one_once(tmp_path, capsys,
@@ -209,19 +210,19 @@ def test_verify_refuses_a_setting_below_one_once(tmp_path, capsys,
 
 
 def test_verify_pure_reads_size_guard_and_precision(capsys):
-    # the sweep over D alone reads both settings, and the memo the first
-    # run fills does not hide the guard.  Over C_3 x C_3 the Koszul complex
+    # pure D's ext_sweep reads both settings, and the memo the first run
+    # fills does not hide the guard.  Over C_3 x C_3 the Koszul complex
     # has C(3, 1) = 3 cells at degree 2, which a guard of 1 refuses
     c3x3, c9 = str(CORPUS / "c3x3.blockspec"), str(CORPUS / "c9.blockspec")
     assert run(capsys, "verify", c3x3)[0] == 0
     code, doc = run(capsys, "verify", c3x3, "--size-guard=1")
     check = {c["name"]: c for c in doc["specs"][0]["checks"]}
-    assert code == 3 and check["closed_vs_oracle"]["status"] == "bound"
-    assert "guard 1" in check["closed_vs_oracle"]["detail"]
+    assert code == 3 and check["ext_sweep"]["status"] == "bound"
+    assert "guard 1" in check["ext_sweep"]["detail"]
     code, doc = run(capsys, "verify", c9, "--precision=2")
     check = {c["name"]: c for c in doc["specs"][0]["checks"]}
-    assert code == 1 and check["closed_vs_oracle"]["status"] == "fail"
-    assert "N >= 3" in check["closed_vs_oracle"]["detail"]
+    assert code == 1 and check["ext_sweep"]["status"] == "fail"
+    assert "N >= 3" in check["ext_sweep"]["detail"]
 
 
 def test_verify_reports_bounds_and_exits_3(capsys):
@@ -343,8 +344,76 @@ def test_verify_corpus_dir(tmp_path, capsys):
     code, doc = run(capsys, "verify", str(tmp_path))
     assert code == 0 and doc["passed"]
     assert [s["spec"] for s in doc["specs"]] == ["c9", "example-a"]
-    pure = {c["name"] for c in doc["specs"][0]["checks"]}
-    assert "closed_vs_oracle" in pure
+    pure = {c["name"]: c["status"] for c in doc["specs"][0]["checks"]}
+    assert pure["ext_sweep"] == "pass" and "closed_vs_oracle" not in pure
+
+
+def refuse_everywhere(m, names):
+    """Make each named function raise, in every blockext module that holds
+    it, so that a caller anywhere in the package meets the raiser."""
+    mods = [mod for key, mod in list(sys.modules.items())
+            if key.startswith("blockext")]
+    for name in names:
+        assert any(hasattr(mod, name) for mod in mods), name
+        for mod in mods:
+            if hasattr(mod, name):
+                m.setattr(mod, name, refuse(name))
+
+
+def test_verify_closed_builds_no_complex(capsys, monkeypatch):
+    # closed mode runs one engine on every spec, pure D included: no
+    # oracle, no complex and no induced module
+    refuse_everywhere(monkeypatch, CLOSED_REFUSES + ["ext_abelian_oracle"])
+    code, doc = run(capsys, "verify", str(CORPUS), "--mode", "closed")
+    assert code == 0 and len(doc["specs"]) == 14
+    for spec in doc["specs"]:
+        names = {c["name"] for c in spec["checks"]}
+        assert "ext_sweep" in names and "closed_vs_oracle" not in names
+    c9 = next(s for s in doc["specs"] if s["spec"] == "c9")
+    status = {c["name"]: c["status"] for c in c9["checks"]}
+    assert status == {"validate": "pass", "chars": "pass", "golden": "pass",
+                      "ext_sweep": "pass", "uct": "skip", "quiver": "skip",
+                      "forcing": "pass", "cyclotomic": "pass"}
+
+
+def test_verify_oracle_never_calls_closed_mode(tmp_path, capsys, monkeypatch):
+    # the five pure-D specs and one block spec
+    for name in ("c3x3", "c3x9", "c4x4", "c8", "c9", "example-a"):
+        (tmp_path / f"{name}.blockspec").write_text(
+            (CORPUS / f"{name}.blockspec").read_text())
+    refuse_everywhere(monkeypatch, ORACLE_REFUSES + ["ext_abelian_closed"])
+    code, doc = run(capsys, "verify", str(tmp_path), "--mode", "oracle")
+    assert code == 0 and len(doc["specs"]) == 6
+
+
+def test_verify_reports_a_failed_premise_and_goes_on(tmp_path, capsys,
+                                                     monkeypatch):
+    # a premise check that fails inside the engine is a "fail" entry for
+    # its spec; the document is still written and the next spec checked.
+    # Once Irr(B) is built, every e != 1 moves each character by a further
+    # shift, so example-a's closed mode meets a mu that is not F-fixed
+    from blockext import cli
+    from blockext.groups import LinearChar
+    for name in ("c9", "example-a"):
+        (tmp_path / f"{name}.blockspec").write_text(
+            (CORPUS / f"{name}.blockspec").read_text())
+    verify_block = cli._verify_block
+
+    def planted(ctx, checks, mode):
+        cli.build_irr_B(ctx)
+        action, on_char = ctx.G.action, ctx.G.action.on_char
+        shift = LinearChar(ctx.G.D, (1,) * ctx.G.D.t)
+        monkeypatch.setattr(action, "on_char", lambda e, lam: on_char(
+            e, lam).mul(shift) if e else on_char(e, lam))
+        verify_block(ctx, checks, mode)
+    monkeypatch.setattr(cli, "_verify_block", planted)
+    code, doc = run(capsys, "verify", str(tmp_path), "--mode", "closed")
+    assert code == 1 and not doc["passed"]
+    c9, a = ({c["name"]: c for c in s["checks"]} for s in doc["specs"])
+    assert all(c["status"] in ("pass", "skip") for c in c9.values())
+    assert a["ext_sweep"] == {"name": "ext_sweep", "status": "fail",
+                              "detail": "mu is not F-fixed"}
+    assert a["cyclotomic"]["status"] == "pass"
 
 
 def test_verify_corrupted_golden_fails(tmp_path, capsys):
